@@ -1001,25 +1001,17 @@ _TENSOR_GATED = ("tensor_cold",)
 #: Intra-report floor on ``tensor_cold_vs_session_cold``: the cohort
 #: pass must beat the per-session engine it batches by at least this
 #: factor on a cold campaign, else the sessions axis is not paying for
-#: its bookkeeping.  Measured end to end with the batched dirty-cell
-#: retx pass: ~3.4x full mode (cohort 64), ~3.9x quick mode (cohort
-#: 32) — the per-column OLLA feedback loop still serializes periods
-#: (see ``docs/architecture.md``), but the retx tier no longer pays a
+#: its bookkeeping.  Measured end to end with the native retx kernel:
+#: ~3.4x full mode (cohort 64), ~3.9x quick mode (cohort 32) — the
+#: per-column OLLA feedback loop still serializes periods (see
+#: ``docs/architecture.md``), but the retx walk no longer pays a
 #: Python loop per dirty cell.  The floors leave headroom for
 #: shared-runner noise; quick mode gets extra slack because sub-second
-#: walls are noisier.  The floors assume the compiled retx kernel is
-#: available (any C compiler on PATH — true for CI runners); the
-#: report's ``cohort.native_kernel`` field says which tier actually
-#: ran when reading an unexpected number.
+#: walls are noisier.  The tensor engine needs the compiled kernel (any
+#: C compiler on PATH — true for CI runners); without it no cohort runs
+#: and the gate's failure names the kernel status from the report.
 _TENSOR_VS_SESSION_FLOOR = 2.5
 _TENSOR_VS_SESSION_FLOOR_QUICK = 2.0
-
-#: Ceiling on the residual per-column fallback's share of dirty cells.
-#: The batched lanes must absorb the common dirty cell; if more than
-#: this fraction of dirty cells drops to the Python runner, the tier
-#: split predicate has regressed (that is how the original 100%-
-#: fallback regression slipped through).
-_TENSOR_RESIDUAL_MAX_FRACTION = 0.05
 
 
 def tensor_tasks(quick: bool = False, seed: int = 2024) -> list:
@@ -1062,8 +1054,8 @@ def measure_tensor(quick: bool = False, seed: int = 2024) -> dict[str, Any]:
 
     Cold clears the process-wide TBS matrix cache first; warm is the
     best of the remaining repetitions.  The report carries the cohort
-    counters (cohorts run, fallback columns, tensor slots/s) from the
-    timed tensor runs.
+    counters (cohorts run, dirty cells, tensor slots/s) and the native
+    kernel status from the timed tensor runs.
     """
     import os
 
@@ -1112,29 +1104,25 @@ def measure_tensor(quick: bool = False, seed: int = 2024) -> dict[str, Any]:
 
     cells = stats["cells"]
     dirty = stats["dirty_periods"]
+    kernel = kernel_status()
     cohort_info = {
         "cohorts": stats["cohorts"],
         "columns": stats["columns"],
-        "columns_touched_fallback": stats["columns_touched_fallback"],
         "cells": cells,
         "dirty_periods": dirty,
-        "batched_periods": stats["batched_periods"],
-        "residual_periods": stats["residual_periods"],
         "dirty_fraction": round(dirty / cells, 4) if cells else 0.0,
-        "residual_fraction_of_dirty": round(
-            stats["residual_periods"] / dirty, 4) if dirty else 0.0,
-        "native_kernel": kernel_status()["available"],
+        "native_kernel": kernel["available"],
+        "native_kernel_error": kernel["error"],
         "tensor_slots_per_s": round(stats["slots"] / stats["seconds"], 1)
         if stats["seconds"] else 0.0,
     }
     # Per-phase wall decomposition, aggregated over the timed tensor
     # runs: where a cohort pass actually spends its time (pre-draw /
-    # tensor pass / batched retx / residual fallback / flush).
+    # tensor pass / kernel retx / flush).
     phases = {
         "predraw_s": round(stats["predraw_s"], 4),
         "tensor_pass_s": round(stats["pass_s"], 4),
         "batched_retx_s": round(stats["batched_s"], 4),
-        "residual_fallback_s": round(stats["residual_s"], 4),
         "flush_s": round(stats["flush_s"], 4),
         "total_s": round(stats["seconds"], 4),
     }
@@ -1183,12 +1171,10 @@ def tensor_regression_failures(current: dict[str, Any],
     Independent of the baseline, the *current* report must keep the
     cohort pass ahead of the per-session engine it batches
     (``tensor_cold_vs_session_cold`` >= ``_TENSOR_VS_SESSION_FLOOR``,
-    relaxed for quick reports), must actually have run tensor cohorts
-    (a policy regression that silently degrades every cohort to the
-    per-session engine would otherwise gate green at 1.0x), and must
-    keep the residual per-column fallback below
-    ``_TENSOR_RESIDUAL_MAX_FRACTION`` of dirty cells — the batched
-    retx lanes, not the Python runner, must own the common dirty cell.
+    relaxed for quick reports) and must actually have run tensor
+    cohorts (a policy regression that silently degrades every cohort to
+    the per-session engine would otherwise gate green at 1.0x; a
+    missing native kernel does exactly that, and the failure says so).
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
@@ -1203,14 +1189,14 @@ def tensor_regression_failures(current: dict[str, Any],
             f"engine it batches)")
     cohort = current.get("cohort", {})
     if not cohort.get("cohorts"):
-        failures.append("cohort: no tensor cohorts ran (engine policy "
-                        "degraded every cohort to the per-session engine)")
-    resid = cohort.get("residual_fraction_of_dirty")
-    if resid is not None and resid > _TENSOR_RESIDUAL_MAX_FRACTION:
-        failures.append(
-            f"batched-retx: residual fallback handled {resid:.1%} of dirty "
-            f"cells > ceiling {_TENSOR_RESIDUAL_MAX_FRACTION:.0%} (the "
-            f"batched lanes must absorb the common dirty cell)")
+        if cohort.get("native_kernel") is False:
+            error = cohort.get("native_kernel_error") or "unknown reason"
+            cause = (f"the native retx kernel was not loaded ({error}), so "
+                     f"the engine policy ran every cohort per-session")
+        else:
+            cause = ("the engine policy degraded every cohort to the "
+                     "per-session engine")
+        failures.append(f"cohort: no tensor cohorts ran ({cause})")
     try:
         base_ref = baseline["workloads"]["session_cold"]["sessions_per_s"]
         new_ref = current["workloads"]["session_cold"]["sessions_per_s"]
@@ -1254,21 +1240,19 @@ def render_tensor(report: dict[str, Any]) -> str:
     if cohort:
         lines.append(
             f"  cohorts={cohort['cohorts']} columns={cohort['columns']} "
-            f"columns_touched_fallback={cohort['columns_touched_fallback']} "
             f"dirty_periods={cohort['dirty_periods']} "
             f"tensor_slots_per_s={cohort['tensor_slots_per_s']:,.0f}")
         if "dirty_fraction" in cohort:
-            tier = "native" if cohort.get("native_kernel") else "numpy"
+            kernel = ("loaded" if cohort.get("native_kernel")
+                      else "not loaded")
             lines.append(
                 f"  dirty={cohort['dirty_fraction']:.1%} of "
-                f"{cohort['cells']} cells, batched={cohort['batched_periods']}"
-                f" ({tier}) residual={cohort['residual_periods']} "
-                f"({cohort['residual_fraction_of_dirty']:.1%} of dirty)")
+                f"{cohort['cells']} cells (native kernel {kernel})")
     phases = report.get("phases")
     if phases:
         parts = [f"{key[:-2]}={phases[key]:.2f}s"
                  for key in ("predraw_s", "tensor_pass_s", "batched_retx_s",
-                             "residual_fallback_s", "flush_s")
+                             "flush_s")
                  if key in phases]
         lines.append("  phases: " + " ".join(parts))
     return "\n".join(lines)

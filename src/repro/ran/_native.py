@@ -1,17 +1,20 @@
-"""Optional native retransmission kernel for the cohort tensor engine.
+"""Native retransmission kernel for the cohort tensor engine.
 
-The batched dirty-cell pass is dispatch-bound in pure numpy: one CQI
-period advances ~25 columns through a handful of events each, and at
-those sizes the per-ufunc dispatch cost dominates the arithmetic by two
-orders of magnitude.  This module compiles ``_retx_kernel.c`` — a
-transliteration of the Python reference walk with byte-identical
-semantics — into a tiny shared library with the system C compiler and
-loads it through :mod:`ctypes`.
+The tensor engine's dirty-cell pass would be dispatch-bound in pure
+numpy: one CQI period advances ~25 columns through a handful of events
+each, and at those sizes the per-ufunc dispatch cost dominates the
+arithmetic by two orders of magnitude.  This module compiles
+``_retx_kernel.c`` — a transliteration of the per-session engines'
+retransmission walk with byte-identical semantics — into a tiny shared
+library with the system C compiler and loads it through :mod:`ctypes`.
 
-Everything is gated: no compiler, a failed build, a failed load or
-``REPRO_NATIVE=0`` all degrade silently to the pure-numpy batched pass
-(the portable tier), and :func:`kernel_status` exposes what happened so
-``repro cache stats`` and the bench report can say which tier ran.
+The kernel is optional for the package but required by the tensor
+engine: no compiler, a failed build, a failed load or
+``REPRO_NATIVE=0`` leave :func:`load_kernel` returning ``None``, and
+:func:`repro.ran.config.resolve_engine` then runs every session through
+the per-session engines (same bytes).  :func:`kernel_status` exposes
+what happened so ``repro cache stats`` and the bench report can say
+why no cohort ran.
 
 The build is cached under ``$REPRO_NATIVE_CACHE`` (default
 ``$XDG_CACHE_HOME/repro-native``) keyed by a source digest, so each
@@ -29,7 +32,8 @@ import tempfile
 from pathlib import Path
 from typing import Any
 
-#: Set to ``0``/``off``/``false`` to force the pure-numpy batched pass.
+#: Set to ``0``/``off``/``false`` to leave the kernel unloaded (every
+#: session then runs through the per-session engines).
 NATIVE_ENV = "REPRO_NATIVE"
 
 #: Override the build cache directory (useful for hermetic CI runs).
@@ -136,7 +140,3 @@ def kernel_status() -> dict[str, Any]:
         "error": _state["error"],
     }
 
-
-def _reset_for_tests() -> None:
-    """Forget the memoized load so tests can exercise both tiers."""
-    _state.update(loaded=False, fn=None, error=None)

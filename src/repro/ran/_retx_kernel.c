@@ -1,16 +1,16 @@
-/* Native batched retransmission kernel for the cohort tensor engine.
+/* Native retransmission kernel for the cohort tensor engine.
  *
- * One call advances every batched dirty column of a single CQI period.
- * The per-column walk is a transliteration of the Python reference
- * `_run_column_period` in tensor.py (itself a flattened transliteration
- * of the per-session engine's run_period/_fallback_slot pair): the
- * cursor visits each slot of the period, serving due retransmissions at
- * eligible slots (the shared retx_fits_slot rule), transmitting new
- * data at special slots that cannot carry an oversized due block (the
- * deferral rule), and committing maximal clean sub-segments bounded by
- * the due head and the first fresh NACK's re-arm point.
+ * One call advances every dirty column of a single CQI period.  The
+ * per-column walk is a transliteration of the per-session vectorized
+ * engine's retransmission handling (`_VectorizedEngine.run_period` /
+ * `_fallback_slot` in simulator.py): the cursor visits each slot of
+ * the period, serving due retransmissions at eligible slots (the
+ * shared retx_fits_slot rule), transmitting new data at special slots
+ * that cannot carry an oversized due block (the deferral rule), and
+ * committing maximal clean sub-segments bounded by the due head and
+ * the first fresh NACK's re-arm point.
  *
- * Byte-identity with the Python tiers is exact because the only
+ * Byte-identity with the per-session engines is exact because the only
  * floating-point operations are one IEEE double multiply, one clamp
  * and one comparison per event — `min(1.0, p_hint * scale)` compared
  * against the pre-drawn uniform — with no accumulation anywhere.
@@ -26,9 +26,8 @@
  *
  * Outputs: per-column ack/nack counts over new transmissions, committed
  * sub-segments as (col, lo, hi) triples and served/deferred events as
- * (col, slot, tbs, ok, is_retx) rows — the same buffers the numpy
- * batched pass appends, in identical within-column (chronological)
- * order, so the flush path is shared unchanged.
+ * (col, slot, tbs, ok, is_retx) rows, in within-column
+ * (chronological) order, for the tensor engine's flush.
  */
 #include <stdint.h>
 #include <string.h>

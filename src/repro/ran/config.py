@@ -18,6 +18,7 @@ from repro.nr.grid import max_rb, re_per_slot
 from repro.nr.mcs import McsTable, Modulation, table_for_max_modulation
 from repro.nr.numerology import Numerology, slot_duration_ms
 from repro.nr.tdd import TddPattern
+from repro.ran import _native
 
 #: Valid ``SimParams.engine`` values (also re-exported by
 #: :mod:`repro.ran.simulator`).  ``"auto"`` and ``"tensor"`` are *policy*
@@ -28,8 +29,9 @@ ENGINES = ("auto", "vectorized", "tensor", "reference")
 
 #: Smallest cohort for which ``engine="auto"`` selects the cross-session
 #: tensor pass.  Below this the per-column bookkeeping of the tensor
-#: engine costs more than the batching saves and ``"vectorized"`` wins.
-TENSOR_MIN_COHORT = 2
+#: engine costs more than the batching saves and ``"vectorized"`` wins
+#: (measured break-even with the native kernel: V_Sp, 5 s DL sessions).
+TENSOR_MIN_COHORT = 6
 
 #: Environment override for the engine policy.  When set (to any value
 #: in :data:`ENGINES`) it replaces the *requested* engine before
@@ -44,25 +46,33 @@ def resolve_engine(engine: str, cohort_size: int = 1) -> str:
     """Resolve a requested engine to the physical engine actually run.
 
     Decision table (all cells byte-identical — this is a pure
-    performance policy; see ``docs/architecture.md``):
+    performance policy; see ``docs/architecture.md``).  The tensor
+    engine walks retransmissions only through the native kernel
+    (:func:`repro.ran._native.load_kernel`), so without it every row
+    resolves per-session:
 
-    ==============  =================  ============================
-    requested       cohort_size == 1   cohort_size >= TENSOR_MIN_COHORT
-    ==============  =================  ============================
-    ``auto``        ``vectorized``     ``tensor``
-    ``tensor``      ``vectorized``     ``tensor``
-    ``vectorized``  ``vectorized``     ``vectorized`` (per session)
-    ``reference``   ``reference``      ``reference`` (per session)
-    ==============  =================  ============================
+    ==============  ===========  ====  =======================  ==============
+    requested       kernel       n=1   2 <= n < MIN             n >= MIN
+    ==============  ===========  ====  =======================  ==============
+    ``auto``        loaded       vec   ``vectorized``           ``tensor``
+    ``tensor``      loaded       vec   ``tensor``               ``tensor``
+    ``auto``        not loaded   vec   ``vectorized``           ``vectorized``
+    ``tensor``      not loaded   vec   ``vectorized``           ``vectorized``
+    ``vectorized``  either       vec   ``vectorized``           ``vectorized``
+    ``reference``   either       ref   ``reference``            ``reference``
+    ==============  ===========  ====  =======================  ==============
 
-    ``tensor`` degrades to ``vectorized`` for a cohort of one because
-    the tensor pass *is* the segment-batched vectorized engine with a
-    sessions axis — a single column has nothing to batch across.
+    (``n`` is ``cohort_size``, ``MIN`` is :data:`TENSOR_MIN_COHORT`,
+    ``vec``/``ref`` the per-session ``vectorized``/``reference``
+    engines.)  ``tensor`` degrades to ``vectorized`` for a cohort of
+    one because the tensor pass *is* the segment-batched vectorized
+    engine with a sessions axis — a single column has nothing to batch
+    across.
 
     The :data:`ENGINE_ENV` environment variable, when set, replaces
-    ``engine`` before the table applies (the ``cohort_size`` degrade
-    rules still hold, so ``REPRO_ENGINE=tensor`` on a lone session
-    still runs vectorized).
+    ``engine`` before the table applies (the ``cohort_size`` and kernel
+    rules still hold, so ``REPRO_ENGINE=tensor`` on a lone session or
+    on a machine without the kernel still runs vectorized).
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
@@ -72,10 +82,11 @@ def resolve_engine(engine: str, cohort_size: int = 1) -> str:
             raise ValueError(
                 f"{ENGINE_ENV} must be one of {ENGINES}, got {override!r}")
         engine = override
-    if engine == "tensor":
-        return "tensor" if cohort_size >= 2 else "vectorized"
-    if engine == "auto":
-        return "tensor" if cohort_size >= TENSOR_MIN_COHORT else "vectorized"
+    if engine in ("auto", "tensor"):
+        floor = TENSOR_MIN_COHORT if engine == "auto" else 2
+        if cohort_size >= floor and _native.load_kernel() is not None:
+            return "tensor"
+        return "vectorized"
     return engine
 
 

@@ -105,7 +105,7 @@ class SimParams:
         vectorized engine per session, upgraded to the cross-session
         tensor pass when the session runs inside a same-shape cohort),
         ``"vectorized"``, ``"tensor"`` (force the cohort tensor pass
-        where a cohort exists) or ``"reference"`` (per-slot scalar loop,
+        where a cohort exists and the native retx kernel is loaded) or ``"reference"`` (per-slot scalar loop,
         the equivalence oracle).  All engines produce byte-identical
         traces; see :func:`repro.ran.config.resolve_engine` for the
         decision table.
@@ -141,11 +141,11 @@ class SimParams:
 # Shared retransmission-window semantics
 # ---------------------------------------------------------------------- #
 # Every engine — the scalar reference oracle, the segment-batched
-# vectorized engine, and the cohort tensor engine's batched retx lanes —
+# vectorized engine, and the cohort tensor engine's native retx kernel —
 # answers the same two questions per pending HARQ block: *can this slot
-# serve it* and *with what error probability*.  Both rules live here, in
-# scalar/array-polymorphic form, so an engine cannot re-derive (and
-# silently drift from) the oracle's semantics.
+# serve it* and *with what error probability*.  Both rules live here so
+# the Python engines cannot re-derive (and silently drift from) the
+# oracle's semantics; ``_retx_kernel.c`` transliterates them op for op.
 
 def retx_fits_slot(is_special, tbs_bits, tbs_special) -> bool:
     """Serve-eligibility of a due retransmission in one slot.
@@ -163,14 +163,10 @@ def retx_error_probability(p_hint, retx_error_scale):
 
     ``min(1, p_hint * retx_error_scale)`` — chase combining recovers
     most of the loss, so the retransmission reuses the original
-    transmission's error probability scaled down.  Accepts a float (the
-    scalar engines) or an ndarray of hints (the cohort batched pass);
-    the array form may write through its temporary, and both forms run
-    the identical IEEE multiply-then-clamp sequence.
+    transmission's error probability scaled down; the native retx
+    kernel runs the identical IEEE multiply-then-clamp sequence.
     """
     p_retx = p_hint * retx_error_scale
-    if isinstance(p_retx, np.ndarray):
-        return np.minimum(p_retx, 1.0, out=p_retx)
     return p_retx if p_retx < 1.0 else 1.0
 
 

@@ -22,28 +22,27 @@ This module runs a whole *cohort* of same-shape sessions as one
 - **Decode outcomes evaluate as one 2-D BLER pass per CQI period** —
   the same in-place ufunc sequence the per-session path runs on a 1-D
   slice, which numpy evaluates bit-identically on 2-D views.
-- **Execution is three-tiered per (column, period) cell.**  *Clean*
+- **Execution is two-tiered per (column, period) cell.**  *Clean*
   cells — no failed transmission and no retransmission due inside the
   period — collapse to bookkeeping: the ACK count is a prefix-sum
   difference and the trace slots are bulk-filled from per-period
-  constants at flush time.  *Dirty* cells run through the **batched
-  retx pass** (:class:`_CohortRetxLanes`): per-column HARQ state lives
-  in struct-of-arrays lanes (due-slot / pending-TBS / attempt-count /
-  p-hint vectors instead of per-column heaps — valid because due slots
-  are strictly monotone in push order, see the class docstring), and
-  each round of the period advances *every* dirty column by one event
-  (a served retransmission, a special-slot deferral, or a committed
-  clean sub-segment) with masked gathers and scatters across the
-  cohort axis.  Only genuinely pathological cells — pending retx
-  backlog above :data:`_RESIDUAL_PENDING` blocks at period start — drop
-  to the *residual* per-column runner :func:`_run_column_period`, a
-  flattened transliteration of the segment-batched
-  ``_VectorizedEngine.run_period`` / ``_fallback_slot`` pair.  All
-  three tiers share the retransmission-window semantics factored into
-  :func:`~repro.ran.simulator.retx_fits_slot` /
-  :func:`~repro.ran.simulator.retx_error_probability`, and the
-  equivalence-matrix tests pin every tier byte-for-byte to the
+  constants at flush time.  *Dirty* cells go to the compiled
+  retransmission kernel (``_retx_kernel.c``, loaded by
+  :mod:`repro.ran._native`) in one call per period: per-column HARQ
+  state lives in struct-of-arrays lanes (:class:`_CohortRetxLanes` —
+  due-slot / pending-TBS / attempt-count / p-hint rows instead of
+  per-column heaps, valid because due slots are strictly monotone in
+  push order, see the class docstring), and the kernel walks each
+  dirty column through the period with the retransmission-window
+  semantics of :func:`~repro.ran.simulator.retx_fits_slot` /
+  :func:`~repro.ran.simulator.retx_error_probability`.  The
+  equivalence-matrix tests pin both tiers byte-for-byte to the
   ``engine="reference"`` oracle.
+
+The kernel is required: ``simulate_*_cohort`` raise :class:`RuntimeError`
+when it is not loaded, and :func:`~repro.ran.config.resolve_engine`
+only selects this engine when it is, so a machine without a C compiler
+(or with ``REPRO_NATIVE=0``) runs every session per-session instead.
 
 Traces are flushed one column at a time (``simulate_*_cohort`` return
 lazy generators), so a reducing consumer folds each session's sketch
@@ -63,7 +62,6 @@ can map (the ``transport="shm"`` path of :mod:`repro.core.runner`).
 from __future__ import annotations
 
 import time
-from heapq import heappop, heappush
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -79,8 +77,7 @@ from repro.ran.config import CellConfig
 from repro.ran.simulator import (BACKGROUND_TRIM_MAX, SLOT_DL, SLOT_SPECIAL,
                                  SLOT_UL, SimParams, _mappers, _RB_QUANTUM,
                                  _slot_types, _TbsCache, _usable_symbols,
-                                 _forward_fill_cqi, replace,
-                                 retx_error_probability, retx_fits_slot)
+                                 _forward_fill_cqi, replace)
 from repro.xcal.arena import CohortArena
 from repro.xcal.records import SlotTrace, TraceMetadata
 
@@ -99,29 +96,19 @@ __all__ = [
 _COUNTERS = {
     "cohorts": 0,            # tensor passes run in this process
     "columns": 0,            # sessions executed through a tensor pass
-    # Columns that instantiated the residual runner at least once — a
-    # *touched* count, not a per-period fallback share (a column counts
-    # once even if a single period of thousands went residual; the
-    # per-cell split is batched_periods / residual_periods).
-    "columns_touched_fallback": 0,
     "cells": 0,              # (column, period) cells examined
-    "dirty_periods": 0,      # cells with HARQ retx work (batched + residual)
-    "batched_periods": 0,    # dirty cells handled by the batched retx lanes
-    "native_periods": 0,     # batched cells that ran the compiled kernel
-    "residual_periods": 0,   # dirty cells through _run_column_period
+    "dirty_periods": 0,      # cells with HARQ retx work (retx kernel)
     "slots": 0,              # column-slots processed by tensor passes
     "seconds": 0.0,          # wall time inside tensor passes
     "predraw_s": 0.0,        # per-column RNG pre-draw + measurement chain
     "pass_s": 0.0,           # vectorized period loop (LA/BLER/bookkeeping);
     #                          with an arena this includes committing the
     #                          loop's results in place (the clean fill)
-    "batched_s": 0.0,        # batched retx lanes (dirty cells, cohort-wide);
-    #                          with an arena, includes the lanes' event scatter
-    "residual_s": 0.0,       # residual per-column fallback
+    "batched_s": 0.0,        # retx kernel calls (dirty cells, cohort-wide);
+    #                          with an arena, includes the event scatter
     "flush_s": 0.0,          # trace materialization: without an arena, the
     #                          whole per-column re-expansion walk; with one,
-    #                          what remains — view creation, residual
-    #                          columns, CQI forward-fill
+    #                          what remains — view creation, CQI forward-fill
 }
 
 
@@ -129,17 +116,16 @@ def cohort_stats() -> dict:
     """Counters of the cohort tensor path in this process.
 
     ``dirty_periods`` counts (column, period) cells with retransmission
-    work; of those, ``batched_periods`` ran through the batched retx
-    lanes (``native_periods`` of them via the compiled kernel) and
-    ``residual_periods`` through the per-column runner.
-    ``columns_touched_fallback`` counts columns that *ever* took the
-    residual path — one dirty period out of thousands still counts the
-    whole column, so compare it with ``residual_periods / cells`` for
-    the actual fallback share, not with ``dirty_periods``.  The
-    ``*_s`` keys decompose ``seconds`` into the pass phases surfaced
-    by ``repro bench --workload tensor``.
+    work, all of which the retx kernel walks; ``batched_periods`` and
+    ``native_periods`` (both equal to it) and ``residual_periods``
+    (always 0) are kept for readers of the older three-tier split.  The
+    ``*_s`` keys decompose ``seconds`` into the pass phases surfaced by
+    ``repro bench --workload tensor``.
     """
-    return dict(_COUNTERS)
+    stats = dict(_COUNTERS)
+    stats["batched_periods"] = stats["native_periods"] = stats["dirty_periods"]
+    stats["residual_periods"] = 0
+    return stats
 
 
 def reset_cohort_stats() -> None:
@@ -150,8 +136,8 @@ def reset_cohort_stats() -> None:
 def render_cohort_stats() -> str:
     """One-line summary, shaped like the TBS cache line.
 
-    Reports the dirty-cell *fraction* and the batched-vs-residual
-    split, not just raw counters — a 100%-fallback regression must be
+    Reports the dirty-cell *fraction* and whether the retx kernel is
+    loaded — without it every cohort runs per-session, which must be
     visible at a glance.
     """
     s = cohort_stats()
@@ -159,12 +145,13 @@ def render_cohort_stats() -> str:
     cells = s["cells"]
     dirty = s["dirty_periods"]
     dirty_pct = 100.0 * dirty / cells if cells else 0.0
-    resid_pct = 100.0 * s["residual_periods"] / dirty if dirty else 0.0
+    if _native.load_kernel() is not None:
+        kernel = "loaded"
+    else:
+        kernel = f"unavailable ({_native.kernel_status()['error']})"
     return (f"tensor cohorts={s['cohorts']} columns={s['columns']} "
-            f"columns_touched_fallback={s['columns_touched_fallback']} "
             f"dirty={dirty}/{cells} ({dirty_pct:.1f}%) "
-            f"batched={s['batched_periods']} (native={s['native_periods']}) "
-            f"residual={s['residual_periods']} ({resid_pct:.1f}% of dirty) "
+            f"kernel={kernel} "
             f"slots_per_s={rate:,.0f}")
 
 
@@ -219,30 +206,13 @@ def _la_luts(cell: CellConfig):
 
 
 # ---------------------------------------------------------------------- #
-# Batched retx lanes: the period-major dirty-cell pass
+# Retx lanes: the period-major dirty-cell pass
 # ---------------------------------------------------------------------- #
 
 #: Due-slot sentinel for empty lane entries — far beyond any slot index,
 #: so ``due[:, 0] < stop`` doubles as the "head pending and due inside
 #: this period" predicate without a separate emptiness mask.
 _FAR = np.int64(1) << 60
-
-#: Pending-backlog ceiling for the batched lanes.  A column holding
-#: more queued retransmissions than this at period start is genuinely
-#: pathological (sustained near-certain failure at long RTT); its round
-#: count would make the whole cohort's batched pass iterate for a
-#: handful of stragglers, so the cell drops to the residual per-column
-#: runner instead.  The bench gate asserts the residual tier stays
-#: below 5% of dirty cells.
-_RESIDUAL_PENDING = 6
-
-
-def _next_slot_table(mask: np.ndarray) -> np.ndarray:
-    """``nxt[j]`` = smallest slot ``k >= j`` with ``mask[k]`` (else
-    ``mask.size``) — a suffix-minimum over the masked slot indices."""
-    n = mask.size
-    idx = np.where(mask, np.arange(n, dtype=np.int64), n)
-    return np.minimum.accumulate(idx[::-1])[::-1].copy()
 
 
 class _CohortRetxLanes:
@@ -259,71 +229,84 @@ class _CohortRetxLanes:
     order, so FIFO order == heap order and the ``_RetxQueue`` sequence
     tie-break can never fire.
 
-    :meth:`run_period` advances all dirty columns of one CQI period in
-    lock-step *rounds*.  Per round each active column handles its next
-    event — serve the due head at the first eligible slot (the shared
-    :func:`~repro.ran.simulator.retx_fits_slot` rule, resolved through
-    precomputed next-eligible-slot tables), transmit new data in a
-    special slot that cannot carry an oversized due block (the
-    deferral rule), or commit a maximal clean sub-segment bounded by
-    the head's due slot and the first fresh NACK's re-arm point — as
-    masked gathers/scatters across the cohort axis.  Every round
-    strictly advances each active cursor, so a period of ``m`` slots
-    takes at most ``m`` rounds and typically two or three.
+    :meth:`run_period` hands all dirty columns of one CQI period to the
+    compiled kernel in a single call.  Per column the kernel serves
+    the due head at the first eligible slot (the shared
+    :func:`~repro.ran.simulator.retx_fits_slot` rule), transmits new
+    data in a special slot that cannot carry an oversized due block
+    (the deferral rule), and commits maximal clean sub-segments bounded
+    by the head's due slot and the first fresh NACK's re-arm point.
 
     Committed sub-segments and served/deferred events are buffered as
-    arrays per round; :meth:`committed_mask` / :meth:`events_by_column`
+    arrays per call; :meth:`committed_mask` / :meth:`events_by_column`
     re-shape them for the flush, which writes the identical bytes the
     per-session engines produce.
     """
 
-    def __init__(self, n_cols: int, n_slots: int, usable: np.ndarray,
-                 special_mask: np.ndarray, cum4: np.ndarray,
-                 rtt: int, scale: float, max_attempts: int):
+    def __init__(self, kernel, usable: np.ndarray, special_mask: np.ndarray,
+                 cum4: np.ndarray, rtt: int, scale: float, max_attempts: int,
+                 retx2: np.ndarray, decoded2: np.ndarray,
+                 p_err2: np.ndarray):
+        n_cols, n_slots = retx2.shape
+        self.kernel = kernel
         self.n_cols = n_cols
         self.n_slots = n_slots
-        self.special = special_mask
-        self.cum4 = cum4
-        self.rtt = rtt
-        self.scale = scale
-        self.max_attempts = max_attempts
-        # Next-eligible-slot tables for the three serve/defer targets:
-        # any usable slot (a fitting block), usable full slots (an
-        # oversized block), usable special slots (deferral candidates).
-        self.nxt_usable = _next_slot_table(usable)
-        self.nxt_full = _next_slot_table(usable & ~special_mask)
-        self.nxt_special = _next_slot_table(usable & special_mask)
-        # With no usable special slot anywhere (FDD-like patterns) the
-        # serve target never depends on the head size and deferral is
-        # impossible, so the window phase can skip both decisions.
-        self.no_defer = not bool((usable & special_mask).any())
-        # Byte views + scratch for the compiled kernel (grown lazily;
-        # unused when the native tier is unavailable).
+        # Byte views of the slot masks; every array whose pointer the
+        # kernel argument list caches is held here so it stays alive.
         self._usable_u8 = np.ascontiguousarray(usable).view(np.uint8)
         self._special_u8 = np.ascontiguousarray(special_mask).view(np.uint8)
-        self._nat_rows = 0
-        self._nat_args: list | None = None
+        self._inputs = (cum4, retx2, decoded2, p_err2)
         cap = 8
         self.due = np.full((n_cols, cap), _FAR, dtype=np.int64)
         self.tbs = np.zeros((n_cols, cap), dtype=np.int64)
         self.att = np.zeros((n_cols, cap), dtype=np.int64)
         self.p = np.zeros((n_cols, cap))
         self.n = np.zeros(n_cols, dtype=np.int64)
+        # Kernel output scratch, sized for the worst call: every column
+        # dirty, one segment or event per slot of the longest period.
+        rows = n_cols * p_err2.shape[1]
+        self._out_seg = [np.empty(rows, dtype=np.int64) for _ in range(3)]
+        self._out_ev = [np.empty(rows, dtype=np.int64) for _ in range(3)] \
+            + [np.empty(rows, dtype=bool) for _ in range(2)]
+        self._acks = np.empty(n_cols, dtype=np.int64)
+        self._nacks = np.empty(n_cols, dtype=np.int64)
+        self._counts = np.empty(2, dtype=np.int64)
         # Flush buffers: committed sub-segments as (col, lo, hi) triples
-        # and fallback events as (col, slot, tbs, ok, is_retx) rows,
-        # appended one array per round.
-        self._seg_cols: list[np.ndarray] = []
-        self._seg_lo: list[np.ndarray] = []
-        self._seg_hi: list[np.ndarray] = []
-        self._ev_cols: list[np.ndarray] = []
-        self._ev_slot: list[np.ndarray] = []
-        self._ev_tbs: list[np.ndarray] = []
-        self._ev_ok: list[np.ndarray] = []
-        self._ev_retx: list[np.ndarray] = []
+        # and events as (col, slot, tbs, ok, is_retx) rows, one array
+        # per kernel call.
+        self._seg: list[list[np.ndarray]] = [[], [], []]
+        self._ev: list[list[np.ndarray]] = [[], [], [], [], []]
+        # ``ndarray.ctypes.data`` costs ~1us per access; at ~35 arguments
+        # per period call that attribute churn would rival the kernel
+        # itself, so per-cohort constants are resolved once here and
+        # only the genuinely per-call slots are rewritten in the hot path.
+        self._args = [
+            0, 0, 0, 0,                                   # nb, bidx, start, stop
+            0, 0, 0, 0, 0,                                # cap, due, tbs, att, ph
+            self.n.ctypes.data, int(_FAR),
+            0, 0, 0, 0,                                   # failm, case, tbsf, tbss
+            n_slots, retx2.ctypes.data, decoded2.ctypes.data,
+            p_err2.ctypes.data, p_err2.shape[1],
+            cum4.ctypes.data, self._usable_u8.ctypes.data,
+            self._special_u8.ctypes.data,
+            rtt, scale, max_attempts,
+            self._acks.ctypes.data, self._nacks.ctypes.data,
+            *(a.ctypes.data for a in self._out_seg),
+            *(a.ctypes.data for a in self._out_ev),
+            self._counts.ctypes.data,
+        ]
+        self._bind_lanes()
 
-    # ------------------------------------------------------------------ #
-    # Lane capacity and heap interchange (residual tier)
-    # ------------------------------------------------------------------ #
+    def _bind_lanes(self) -> None:
+        """Re-read the lane pointers into the cached argument list (the
+        lane arrays move when :meth:`_ensure_cap` widens them)."""
+        a = self._args
+        a[4] = self.due.shape[1]
+        a[5] = self.due.ctypes.data
+        a[6] = self.tbs.ctypes.data
+        a[7] = self.att.ctypes.data
+        a[8] = self.p.ctypes.data
+
     def _ensure_cap(self, need: int) -> None:
         cap = self.due.shape[1]
         if need <= cap:
@@ -339,351 +322,25 @@ class _CohortRetxLanes:
         self.tbs = widen(self.tbs, 0)
         self.att = widen(self.att, 0)
         self.p = widen(self.p, 0.0)
-        if self._nat_args is not None:
-            self._refresh_native_ptrs()
+        self._bind_lanes()
 
-    def export_heap(self, c: int) -> list[tuple]:
-        """A column's lane as ``_RetxQueue``-shaped heap tuples (the
-        sorted lane is a valid min-heap; seq = lane position)."""
-        k = int(self.n[c])
-        due, tbs, att, p = self.due[c], self.tbs[c], self.att[c], self.p[c]
-        return [(int(due[i]), i, int(tbs[i]), int(att[i]), float(p[i]))
-                for i in range(k)]
-
-    def import_heap(self, c: int, heap: list[tuple]) -> None:
-        """Re-absorb a column's heap after a residual period (due order
-        restored by sorting; dues are unique, so the order is total)."""
-        entries = sorted(heap)
-        k = len(entries)
-        self._ensure_cap(k)
-        due, tbs, att, p = self.due[c], self.tbs[c], self.att[c], self.p[c]
-        for i, (d, _seq, t, a, hint) in enumerate(entries):
-            due[i] = d
-            tbs[i] = t
-            att[i] = a
-            p[i] = hint
-        due[k:] = _FAR
-        self.n[c] = k
-
-    # ------------------------------------------------------------------ #
-    # The batched pass
-    # ------------------------------------------------------------------ #
     def run_period(self, bidx: np.ndarray, start: int, stop: int,
                    failm_b: np.ndarray, case_b: np.ndarray,
                    tbsf_b: np.ndarray, tbss_b: np.ndarray,
-                   retx2: np.ndarray, decoded2: np.ndarray,
-                   p_err2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Advance the batched dirty columns ``bidx`` through one
-        period; returns their per-column (acks, nacks) over new
-        transmissions, exactly as the scalar oracle counts them.
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """Advance the dirty columns ``bidx`` through one period with a
+        single kernel call; returns their per-column (acks, nacks) over
+        new transmissions, exactly as the scalar oracle counts them.
 
-        Each round runs the segment phase first, so a column whose
-        clean sub-segment ends at a due (or freshly re-armed) head is
-        served by the window phase of the *same* round: the common
-        dirty cell — one failed transmission, one retransmission —
-        costs two rounds instead of four.
-
-        When the compiled kernel is available the same advance runs
-        natively (identical semantics, identical buffers — see
-        ``_retx_kernel.c``); this numpy pass is the portable tier.
-        """
-        kernel = _native.load_kernel()
-        if kernel is not None:
-            return self._run_period_native(
-                kernel, bidx, start, stop, failm_b, case_b,
-                tbsf_b, tbss_b, retx2, decoded2, p_err2)
-        nb = bidx.size
-        m = stop - start
-        rtt = self.rtt
-        spec = self.special
-        cum4 = self.cum4
-        max_att = self.max_attempts
-        nxt_u, nxt_f, nxt_s = self.nxt_usable, self.nxt_full, self.nxt_special
-        no_defer = self.no_defer
-
-        # Local working copies of the selected lanes (scattered back at
-        # the end; capacity growth stays local until then).  ``due0``
-        # views the head column, so pops and pushes keep it current.
-        due = self.due[bidx]
-        tbs = self.tbs[bidx]
-        att = self.att[bidx]
-        ph = self.p[bidx]
-        pn = self.n[bidx]
-        cap = due.shape[1]
-        due0 = due[:, 0]
-
-        def grow(need: int) -> None:
-            nonlocal due, tbs, att, ph, cap, due0
-            new = max(need, 2 * cap)
-
-            def widen(a: np.ndarray, fill) -> np.ndarray:
-                b = np.full((nb, new), fill, dtype=a.dtype)
-                b[:, :cap] = a
-                return b
-
-            due = widen(due, _FAR)
-            tbs = widen(tbs, 0)
-            att = widen(att, 0)
-            ph = widen(ph, 0.0)
-            cap = new
-            due0 = due[:, 0]
-
-        # Fresh-NACK bookkeeping: prefix counts give both the number of
-        # NACKs a committed range queues and — because the cursor only
-        # ever consumes positions it passes — the ordinal of the next
-        # candidate; a suffix-minimum over absolute candidate re-arm
-        # slots (``start + pos + rtt``, sentinel past the period) bounds
-        # every segment with a single gather + minimum: the oracle's
-        # two-clause shrink rule (first < end and first + rtt < end)
-        # collapses to it because rtt >= 1 makes the first clause
-        # redundant, and the re-arm point always sits strictly past the
-        # cursor, so rounds keep advancing.
-        total_err = int(failm_b.sum())
-        if total_err:
-            cumf = np.zeros((nb, m + 1), dtype=np.int64)
-            np.cumsum(failm_b, axis=1, out=cumf[:, 1:])
-            ecnt = cumf[:, m]
-            rearm = np.where(failm_b, np.arange(m, dtype=np.int64), m)
-            rearm = np.minimum.accumulate(rearm[:, ::-1], axis=1)[:, ::-1]
-            rearm += start + rtt
-            err_pad = np.full((nb, int(ecnt.max())), m, dtype=np.int64)
-            erows, epos = np.nonzero(failm_b)
-            row0 = np.cumsum(ecnt) - ecnt
-            err_pad[erows, np.arange(erows.size) - row0[erows]] = epos
-
-        cur = np.full(nb, start, dtype=np.int64)
-        acks_b = np.zeros(nb, dtype=np.int64)
-        nacks_b = np.zeros(nb, dtype=np.int64)
-        live = np.ones(nb, dtype=bool)
-
-        while live.any():
-            # --- segment phase: commit one clean sub-segment ----------
-            gidx = np.flatnonzero(live & (due0 > cur))
-            if gidx.size:
-                i0 = cur[gidx]
-                send = np.minimum(due0[gidx], stop)
-                cg = case_b[gidx]
-                self._seg_cols.append(bidx[gidx])
-                self._seg_lo.append(i0)
-                if total_err:
-                    send = np.minimum(send, rearm[gidx, i0 - start])
-                    cnt = cum4[cg, send] - cum4[cg, i0]
-                    e0 = cumf[gidx, i0 - start]
-                    npush = cumf[gidx, send - start] - e0
-                    acks_b[gidx] += cnt - npush
-                    nacks_b[gidx] += npush
-                    tot = int(npush.sum())
-                    if tot == 0:
-                        pass
-                    elif int(npush.max()) == 1:
-                        # Fast path: at most one fresh NACK per column
-                        # this round — direct scatter, no repeats.
-                        pm = npush > 0
-                        rep = gidx[pm]
-                        pos = err_pad[rep, e0[pm]]
-                        slot = pn[rep]
-                        if int(slot.max()) >= cap:
-                            grow(cap + 1)
-                        due[rep, slot] = start + pos + rtt
-                        tbs[rep, slot] = np.where(spec[start + pos],
-                                                  tbss_b[rep], tbsf_b[rep])
-                        att[rep, slot] = 1
-                        ph[rep, slot] = p_err2[bidx[rep], pos]
-                        pn[rep] += 1
-                    else:
-                        rep = np.repeat(gidx, npush)
-                        k = np.arange(tot, dtype=np.int64) \
-                            - np.repeat(np.cumsum(npush) - npush, npush)
-                        pos = err_pad[rep, np.repeat(e0, npush) + k]
-                        slot = pn[rep] + k
-                        need = int(slot.max()) + 1
-                        if need > cap:
-                            grow(need)
-                        due[rep, slot] = start + pos + rtt
-                        tbs[rep, slot] = np.where(spec[start + pos],
-                                                  tbss_b[rep], tbsf_b[rep])
-                        att[rep, slot] = 1
-                        ph[rep, slot] = p_err2[bidx[rep], pos]
-                        pn[gidx] += npush
-                else:
-                    acks_b[gidx] += cum4[cg, send] - cum4[cg, i0]
-                self._seg_hi.append(send)
-                cur[gidx] = send
-                np.less(cur, stop, out=live)
-
-            # --- window phase: one serve/deferral event per column ----
-            widx = np.flatnonzero(live & (due0 <= cur))
-            if not widx.size:
-                if not gidx.size:
-                    break
-                continue
-            w = cur[widx]
-            if no_defer:
-                j_srv = nxt_u[w]
-                do_srv = j_srv < stop
-                do_def = None
-            else:
-                tsp = tbss_b[widx]
-                fits = tbs[widx, 0] <= tsp  # vectorized retx_fits_slot
-                j_srv = np.where(fits, nxt_u[w], nxt_f[w])
-                j_def = np.where(fits | (tsp <= 0), _FAR, nxt_s[w])
-                do_def = (j_def < j_srv) & (j_def < stop)
-                do_srv = ~do_def & (j_srv < stop)
-            # Default every window column to the halt outcome (no
-            # eligible slot left: the cursor crawls to the boundary
-            # with the head still due); serve/defer overwrite below.
-            cur[widx] = stop
-            sidx = widx[do_srv]
-            if sidx.size:
-                s = j_srv[do_srv]
-                g = bidx[sidx]
-                s_tbs = tbs[sidx, 0]
-                s_att = att[sidx, 0]
-                s_ph = ph[sidx, 0]
-                ok = retx2[g, s] >= retx_error_probability(s_ph, self.scale)
-                self._ev_cols.append(g)
-                self._ev_slot.append(s)
-                self._ev_tbs.append(s_tbs)
-                self._ev_ok.append(ok)
-                self._ev_retx.append(np.ones(s.size, dtype=bool))
-                # Pop the served head (lanes shift left, staying
-                # due-sorted) and requeue scaled failures.
-                due[sidx, :-1] = due[sidx, 1:]
-                due[sidx, -1] = _FAR
-                tbs[sidx, :-1] = tbs[sidx, 1:]
-                att[sidx, :-1] = att[sidx, 1:]
-                ph[sidx, :-1] = ph[sidx, 1:]
-                pn[sidx] -= 1
-                requeue = ~ok & (s_att + 1 < max_att)
-                if requeue.any():
-                    r = sidx[requeue]
-                    slot = pn[r]
-                    due[r, slot] = s[requeue] + rtt
-                    tbs[r, slot] = s_tbs[requeue]
-                    att[r, slot] = s_att[requeue] + 1
-                    ph[r, slot] = s_ph[requeue]
-                    pn[r] += 1
-                cur[sidx] = s + 1
-            if do_def is not None and do_def.any():
-                # Deferral: the special slot carries new data while
-                # the oversized block waits for the next full slot.
-                didx = widx[do_def]
-                d = j_def[do_def]
-                g = bidx[didx]
-                d_tbs = tbss_b[didx]
-                ok = decoded2[g, d]
-                self._ev_cols.append(g)
-                self._ev_slot.append(d)
-                self._ev_tbs.append(d_tbs.copy())
-                self._ev_ok.append(ok)
-                self._ev_retx.append(np.zeros(d.size, dtype=bool))
-                acks_b[didx] += ok
-                bad = ~ok
-                if bad.any():
-                    b = didx[bad]
-                    if int(pn[b].max()) >= cap:
-                        grow(cap + 1)
-                    slot = pn[b]
-                    due[b, slot] = d[bad] + rtt
-                    tbs[b, slot] = d_tbs[bad]
-                    att[b, slot] = 1
-                    ph[b, slot] = p_err2[g[bad], d[bad] - start]
-                    pn[b] += 1
-                    nacks_b[b] += 1
-                cur[didx] = d + 1
-            np.less(cur, stop, out=live)
-
-        # Scatter the lanes back (untouched rows beyond the local
-        # capacity are already at the _FAR sentinel).
-        self._ensure_cap(cap)
-        self.due[bidx, :cap] = due
-        self.tbs[bidx, :cap] = tbs
-        self.att[bidx, :cap] = att
-        self.p[bidx, :cap] = ph
-        self.n[bidx] = pn
-        return acks_b, nacks_b
-
-    # ------------------------------------------------------------------ #
-    # Native tier
-    # ------------------------------------------------------------------ #
-    def _grow_native_scratch(self, rows: int) -> None:
-        self._nat_rows = rows
-        self._nat_seg_col = np.empty(rows, dtype=np.int64)
-        self._nat_seg_lo = np.empty(rows, dtype=np.int64)
-        self._nat_seg_hi = np.empty(rows, dtype=np.int64)
-        self._nat_ev_col = np.empty(rows, dtype=np.int64)
-        self._nat_ev_slot = np.empty(rows, dtype=np.int64)
-        self._nat_ev_tbs = np.empty(rows, dtype=np.int64)
-        self._nat_ev_ok = np.empty(rows, dtype=bool)
-        self._nat_ev_retx = np.empty(rows, dtype=bool)
-        self._nat_acks = np.empty(self.n_cols, dtype=np.int64)
-        self._nat_nacks = np.empty(self.n_cols, dtype=np.int64)
-        self._nat_counts = np.empty(2, dtype=np.int64)
-        if self._nat_args is not None:
-            self._refresh_native_ptrs()
-
-    def _refresh_native_ptrs(self) -> None:
-        """Re-read the data pointers of reallocatable arrays into the
-        cached argument list (lane arrays move on ``_ensure_cap``,
-        scratch on ``_grow_native_scratch``)."""
-        a = self._nat_args
-        a[4] = self.due.shape[1]
-        a[5] = self.due.ctypes.data
-        a[6] = self.tbs.ctypes.data
-        a[7] = self.att.ctypes.data
-        a[8] = self.p.ctypes.data
-        for i, arr in enumerate((
-                self._nat_acks, self._nat_nacks, self._nat_seg_col,
-                self._nat_seg_lo, self._nat_seg_hi, self._nat_ev_col,
-                self._nat_ev_slot, self._nat_ev_tbs, self._nat_ev_ok,
-                self._nat_ev_retx, self._nat_counts), start=26):
-            a[i] = arr.ctypes.data
-
-    def _bind_native(self, retx2: np.ndarray, decoded2: np.ndarray,
-                     p_err2: np.ndarray) -> None:
-        """Build the cached kernel argument list once per cohort.
-
-        ``ndarray.ctypes.data`` costs ~1us per access; at ~35 arguments
-        per period call that attribute churn would rival the kernel
-        itself, so per-cohort constants are resolved here and only the
-        genuinely per-call slots are rewritten in the hot path."""
-        self._nat_args = [
-            0, 0, 0, 0,                                   # nb, bidx, start, stop
-            0, 0, 0, 0, 0,                                # cap, due, tbs, att, ph
-            self.n.ctypes.data, int(_FAR),
-            0, 0, 0, 0,                                   # failm, case, tbsf, tbss
-            self.n_slots, retx2.ctypes.data, decoded2.ctypes.data,
-            p_err2.ctypes.data, p_err2.shape[1],
-            self.cum4.ctypes.data, self._usable_u8.ctypes.data,
-            self._special_u8.ctypes.data,
-            self.rtt, self.scale, self.max_attempts,
-            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,              # outputs
-        ]
-        self._refresh_native_ptrs()
-
-    def _run_period_native(self, kernel, bidx: np.ndarray,
-                           start: int, stop: int,
-                           failm_b: np.ndarray, case_b: np.ndarray,
-                           tbsf_b: np.ndarray, tbss_b: np.ndarray,
-                           retx2: np.ndarray, decoded2: np.ndarray,
-                           p_err2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One compiled-kernel call for the whole batched period.
-
-        Operates on the lane arrays in place (capacity pre-grown to the
-        worst case: each slot queues at most one block, so the pending
-        count can rise by at most the period length) and drains the
-        kernel's segment/event buffers into the same flush lists the
-        numpy rounds append, in the same within-column order.
+        The lanes are updated in place (capacity pre-grown to the worst
+        case: each slot queues at most one block, so the pending count
+        can rise by at most the period length).  The returned arrays
+        are views of reusable scratch: the caller scatters them into
+        its per-column accumulators before the next call.
         """
         nb = bidx.size
-        m = stop - start
-        self._ensure_cap(int(self.n[bidx].max()) + m)
-        rows = nb * m
-        if self._nat_rows < rows:
-            self._grow_native_scratch(rows)
-        if self._nat_args is None:
-            self._bind_native(retx2, decoded2, p_err2)
-        args = self._nat_args
+        self._ensure_cap(int(self.n[bidx].max()) + stop - start)
+        args = self._args
         args[0] = nb
         args[1] = bidx.ctypes.data
         args[2] = start
@@ -692,36 +349,28 @@ class _CohortRetxLanes:
         args[12] = case_b.ctypes.data
         args[13] = tbsf_b.ctypes.data
         args[14] = tbss_b.ctypes.data
-        rc = kernel(*args)
+        rc = self.kernel(*args)
         if rc != 0:  # pragma: no cover - the kernel cannot fail today
             raise RuntimeError(f"native retx kernel returned {rc}")
-        ns = int(self._nat_counts[0])
-        ne = int(self._nat_counts[1])
+        ns = int(self._counts[0])
+        ne = int(self._counts[1])
         if ns:
-            self._seg_cols.append(self._nat_seg_col[:ns].copy())
-            self._seg_lo.append(self._nat_seg_lo[:ns].copy())
-            self._seg_hi.append(self._nat_seg_hi[:ns].copy())
+            for buf, out in zip(self._seg, self._out_seg):
+                buf.append(out[:ns].copy())
         if ne:
-            self._ev_cols.append(self._nat_ev_col[:ne].copy())
-            self._ev_slot.append(self._nat_ev_slot[:ne].copy())
-            self._ev_tbs.append(self._nat_ev_tbs[:ne].copy())
-            self._ev_ok.append(self._nat_ev_ok[:ne].copy())
-            self._ev_retx.append(self._nat_ev_retx[:ne].copy())
-        # Views of reusable scratch: the caller scatters these into its
-        # per-column accumulators immediately, before the next call.
-        return self._nat_acks[:nb], self._nat_nacks[:nb]
+            for buf, out in zip(self._ev, self._out_ev):
+                buf.append(out[:ne].copy())
+        return self._acks[:nb], self._nacks[:nb]
 
     # ------------------------------------------------------------------ #
     # Flush shaping
     # ------------------------------------------------------------------ #
     def committed_mask(self) -> np.ndarray | None:
-        """(n_cols, n_slots) bool of batched committed sub-segment
-        ranges (pre-AND with the transmit pattern), or ``None``."""
-        if not self._seg_cols:
+        """(n_cols, n_slots) bool of committed sub-segment ranges
+        (pre-AND with the transmit pattern), or ``None``."""
+        if not self._seg[0]:
             return None
-        c = np.concatenate(self._seg_cols)
-        lo = np.concatenate(self._seg_lo)
-        hi = np.concatenate(self._seg_hi)
+        c, lo, hi = (np.concatenate(buf) for buf in self._seg)
         delta = np.zeros((self.n_cols, self.n_slots + 1), dtype=np.int32)
         np.add.at(delta, (c, lo), 1)
         np.add.at(delta, (c, hi), -1)
@@ -731,229 +380,12 @@ class _CohortRetxLanes:
         """Served/deferred events grouped by column for the flush:
         ``(bounds, slots, tbs, ok, is_retx)`` with column ``c``'s rows
         at ``[bounds[c]:bounds[c + 1]]``, or ``None``."""
-        if not self._ev_cols:
+        if not self._ev[0]:
             return None
-        c = np.concatenate(self._ev_cols)
+        c, slot, tbs, ok, retx = (np.concatenate(buf) for buf in self._ev)
         order = np.argsort(c, kind="stable")
-        c = c[order]
-        bounds = np.searchsorted(c, np.arange(self.n_cols + 1))
-        return (bounds,
-                np.concatenate(self._ev_slot)[order],
-                np.concatenate(self._ev_tbs)[order],
-                np.concatenate(self._ev_ok)[order],
-                np.concatenate(self._ev_retx)[order])
-
-
-# ---------------------------------------------------------------------- #
-# Per-column fallback state and runner
-# ---------------------------------------------------------------------- #
-class _Column:
-    """Divergent-column state: HARQ heap plus buffered trace writes.
-
-    Created lazily on a column's first dirty period.  ``heap`` holds
-    ``(due_slot, seq, tbs_bits, attempts, p_hint)`` tuples exactly like
-    :class:`~repro.ran.simulator._RetxQueue`.  Because the per-period
-    grant constants cannot change inside a period, buffered trace
-    writes are split into slim varying tuples plus one meta row per
-    dirty period: ``chunks`` holds ``(committed_count, prb, mcs, mod,
-    layers, cqi, dci, tbs_full, tbs_special)`` per period with fast
-    segments, ``events`` holds ``(slot, tbs, ok, is_retx)`` per
-    fallback slot and ``evmeta`` ``(n_events, prb, mcs, mod, layers,
-    cqi, dci)`` per period that produced any — the flush re-expands
-    the constants with ``np.repeat``, yielding the exact payloads the
-    per-session engine buffers.
-    """
-
-    __slots__ = ("heap", "seq", "txmask", "chunks", "events", "evmeta")
-
-    def __init__(self, n_slots: int):
-        self.heap: list[tuple] = []
-        self.seq = 0
-        self.txmask = np.zeros(n_slots, dtype=bool)
-        self.chunks: list[tuple] = []
-        self.events: list[tuple] = []
-        self.evmeta: list[tuple] = []
-
-
-def _run_column_period(col: _Column, start: int, stop: int,
-                       tx: np.ndarray, cum: list, usable: list, special: list,
-                       decoded, p_err, retx_u: np.ndarray,
-                       consts: tuple, tbs_full: int, tbs_special: int,
-                       rtt: int, scale: float, max_attempts: int,
-                       err_pos: list,
-                       heappop=heappop, heappush=heappush) -> tuple[int, int]:
-    """One dirty (column, period) cell with exact engine semantics.
-
-    A flattened transliteration of ``_VectorizedEngine.run_period`` +
-    ``_fallback_slot``: identical control flow and float operations,
-    but heap/segment state lives in locals and each committed segment
-    appends one tuple instead of nine list entries.  ``err_pos``
-    carries the period-relative fresh-NACK candidate positions
-    (``tx & ~decoded``), precomputed by the caller from the cohort
-    decode tensor; ``cum``/``usable``/``special`` arrive as plain
-    lists so the hot loop never boxes numpy scalars.
-    """
-    heap = col.heap
-    seq = col.seq
-    events = col.events
-    e0 = len(events)
-    acks = 0
-    nacks = 0
-    i = start
-
-    if tbs_full <= 0 and tbs_special <= 0:
-        # Nothing transmittable this period; only due retransmissions
-        # can occupy slots (a deferred retx would hand the slot to new
-        # data, which this period cannot carry).
-        while i < stop:
-            if heap and heap[0][0] <= i and usable[i]:
-                if retx_fits_slot(special[i], heap[0][2], tbs_special):
-                    _due, _seq, tbs, attempts, p_hint = heappop(heap)
-                    ok = retx_u[i] >= retx_error_probability(p_hint, scale)
-                    events.append((i, tbs, ok, True))
-                    if not ok and attempts + 1 < max_attempts:
-                        heappush(heap, (i + rtt, seq, tbs, attempts + 1, p_hint))
-                        seq += 1
-            i += 1
-        col.seq = seq
-        n_ev = len(events) - e0
-        if n_ev:
-            col.evmeta.append((n_ev,) + consts)
-        return 0, 0
-
-    uniform_tbs = tbs_special == tbs_full
-    n_err = len(err_pos)
-    e = 0
-    committed = 0
-    txmask = col.txmask
-    while i < stop:
-        if heap and heap[0][0] <= i:
-            # Retransmission window: per-slot fallback until the due
-            # block is served (or deferred past a special slot that
-            # cannot carry it).
-            if usable[i]:
-                is_special = special[i]
-                if retx_fits_slot(is_special, heap[0][2], tbs_special):
-                    _due, _seq, tbs, attempts, p_hint = heappop(heap)
-                    ok = retx_u[i] >= retx_error_probability(p_hint, scale)
-                    events.append((i, tbs, ok, True))
-                    if not ok and attempts + 1 < max_attempts:
-                        heappush(heap, (i + rtt, seq, tbs, attempts + 1, p_hint))
-                        seq += 1
-                else:
-                    # Deferral: the special slot carries new data instead.
-                    tbs = tbs_special if is_special else tbs_full
-                    if tbs > 0:
-                        j = i - start
-                        ok = decoded[j]
-                        events.append((i, tbs, ok, False))
-                        if ok:
-                            acks += 1
-                        else:
-                            heappush(heap, (i + rtt, seq, tbs, 1,
-                                            float(p_err[j])))
-                            seq += 1
-                            nacks += 1
-            i += 1
-            # The fallback owned that position — drop any fresh-NACK
-            # candidate there (a served retx displaced the new data; a
-            # fallback new transmission already queued its own NACK).
-            while e < n_err and err_pos[e] < i - start:
-                e += 1
-            continue
-        if not heap:
-            seg_end = stop
-        else:
-            h0 = heap[0][0]
-            seg_end = stop if h0 >= stop else h0
-        # The first fresh NACK inside the segment re-arms the queue
-        # rtt slots later; the segment cannot extend past that.
-        if e < n_err:
-            first = start + err_pos[e]
-            if first < seg_end and first + rtt < seg_end:
-                seg_end = first + rtt
-        j1 = seg_end - start
-        # Queue every fresh NACK in the committed range, slot order:
-        # their due slots all lie at or beyond seg_end.
-        seg_nacks = 0
-        while e < n_err and (pos := err_pos[e]) < j1:
-            if uniform_tbs or not special[start + pos]:
-                tbs = tbs_full
-            else:
-                tbs = tbs_special
-            heappush(heap, (start + pos + rtt, seq, tbs, 1, float(p_err[pos])))
-            seq += 1
-            e += 1
-            seg_nacks += 1
-        nacks += seg_nacks
-        txmask[i:seg_end] = tx[i:seg_end]
-        cnt = cum[seg_end] - cum[i]
-        acks += cnt - seg_nacks
-        committed += cnt
-        i = seg_end
-    col.seq = seq
-    # One meta row per period: every fast segment and fallback event in
-    # this call shares the same grant constants, so the per-segment /
-    # per-event tuples the engine buffers collapse losslessly.
-    if committed:
-        col.chunks.append((committed,) + consts + (tbs_full, tbs_special))
-    n_ev = len(events) - e0
-    if n_ev:
-        col.evmeta.append((n_ev,) + consts)
-    return acks, nacks
-
-
-def _flush_column(col: _Column, trace: SlotTrace, special_mask: np.ndarray,
-                  decoded: np.ndarray) -> None:
-    """Materialize a divergent column's buffered slots into its trace —
-    the same bulk writes as ``_VectorizedEngine.flush``, reading decode
-    outcomes straight from the column's row of the cohort tensor."""
-    idx = np.flatnonzero(col.txmask)
-    if idx.size:
-        # One bulk conversion of the per-period chunk rows; txmask
-        # slots are in slot order and each period's committed count is
-        # row 0, so np.repeat re-expands the constants in exact
-        # per-slot alignment with ``idx``.
-        ch = np.array(col.chunks, dtype=np.int64)
-        counts = ch[:, 0]
-
-        def rep(k: int) -> np.ndarray:
-            return np.repeat(ch[:, k], counts)
-
-        prb = rep(1)
-        trace.fill(
-            idx, scheduled=True, n_prb=prb, n_re=prb * 12,
-            mcs_index=rep(2), modulation_order=rep(3),
-            layers=rep(4), cqi=rep(5), dci_format=rep(6),
-        )
-        tbs_vec = np.where(special_mask[idx], rep(8), rep(7))
-        ok = decoded[idx]
-        trace.tbs_bits[idx] = tbs_vec
-        trace.delivered_bits[idx] = np.where(ok, tbs_vec, 0)
-        trace.error[idx] = ~ok
-    if col.events:
-        # Slim (slot, tbs, ok, is_retx) tuples plus one meta row per
-        # producing period; booleans round-trip through int64 exactly.
-        ev = np.array(col.events, dtype=np.int64)
-        em = np.array(col.evmeta, dtype=np.int64)
-        n_ev = em[:, 0]
-
-        def repe(k: int) -> np.ndarray:
-            return np.repeat(em[:, k], n_ev)
-
-        ridx = ev[:, 0]
-        rtbs = ev[:, 1]
-        rok = ev[:, 2].astype(bool)
-        rprb = repe(1)
-        trace.fill(
-            ridx, scheduled=True, n_prb=rprb, n_re=rprb * 12,
-            mcs_index=repe(2), modulation_order=repe(3),
-            layers=repe(4), cqi=repe(5), dci_format=repe(6),
-        )
-        trace.is_retx[ridx] = ev[:, 3].astype(bool)
-        trace.tbs_bits[ridx] = rtbs
-        trace.delivered_bits[ridx] = np.where(rok, rtbs, 0)
-        trace.error[ridx] = ~rok
+        bounds = np.searchsorted(c[order], np.arange(self.n_cols + 1))
+        return bounds, slot[order], tbs[order], ok[order], retx[order]
 
 
 # ---------------------------------------------------------------------- #
@@ -968,10 +400,12 @@ def _simulate_direction_cohort(
     max_layers: int,
     n_prb: int,
     metadatas: Sequence[TraceMetadata],
+    kernel,
     arena_factory=None,
 ) -> Iterator[SlotTrace]:
     """Cohort counterpart of ``_simulate_direction`` (lazy, one trace
-    yielded per column in cohort order).
+    yielded per column in cohort order); ``kernel`` is the loaded retx
+    kernel that walks the dirty cells.
 
     ``arena_factory(n_cols, n_slots, mu)`` — when given — supplies a
     :class:`~repro.xcal.arena.CohortArena` the whole flush writes into
@@ -982,9 +416,6 @@ def _simulate_direction_cohort(
     t0 = time.perf_counter()
     n_cols = len(channels)
     n_slots = channels[0].n_slots
-    for ch in channels:
-        if ch.n_slots != n_slots:
-            raise ValueError("cohort channels must share one slot count")
     arena: CohortArena | None = None
     if arena_factory is not None:
         arena = arena_factory(n_cols, n_slots, channels[0].mu)
@@ -1079,18 +510,13 @@ def _simulate_direction_cohort(
 
     # --- shared per-slot structures --------------------------------------
     # Transmit patterns for the four (tbs_full, tbs_special) sign cases
-    # (0=both, 1=full-only, 2=special-only, 3=none) with prefix sums;
-    # list copies feed the pure-Python column runner without per-access
-    # numpy scalar boxing.
+    # (0=both, 1=full-only, 2=special-only, 3=none) with prefix sums.
     tx4 = np.zeros((4, n_slots), dtype=bool)
     tx4[0] = usable
     tx4[1] = usable & ~special_mask
     tx4[2] = usable & special_mask
     cum4 = np.zeros((4, n_slots + 1), dtype=np.int64)
     np.cumsum(tx4, axis=1, out=cum4[:, 1:])
-    cum4_l = [row.tolist() for row in cum4]
-    usable_l = usable.tolist()
-    special_l = special_mask.tolist()
 
     # --- cross-column state ---------------------------------------------
     olla = Olla()
@@ -1101,18 +527,16 @@ def _simulate_direction_cohort(
     dci_fallback_cqi = params.dci_fallback_cqi
     adapter_max = rank_adapter.max_layers
     rtt = params.harq_rtt_slots
-    scale = params.retx_error_scale
-    max_attempts = params.max_attempts
 
     delta = np.zeros(n_cols)
     rank = np.ones(n_cols, dtype=np.int64)
     ewma = np.empty(n_cols)
-    lanes = _CohortRetxLanes(n_cols, n_slots, usable, special_mask, cum4,
-                             rtt, scale, max_attempts)
-    cols: list[_Column | None] = [None] * n_cols
 
     decoded2 = np.empty((n_cols, n_slots), dtype=bool)
     p_err2 = np.empty((n_cols, period))
+    lanes = _CohortRetxLanes(kernel, usable, special_mask, cum4, rtt,
+                             params.retx_error_scale, params.max_attempts,
+                             retx2, decoded2, p_err2)
     notdec = np.empty((n_cols, period), dtype=bool)
     failm2 = np.empty((n_cols, period), dtype=bool)
     zero_off = np.zeros(n_cols, dtype=np.int64)
@@ -1153,13 +577,9 @@ def _simulate_direction_cohort(
         rank_steps.append((candidate, eff_up,
                            eff_up - rank_adapter.hysteresis_db))
     layers_capped = adapter_max > max_layers
-    empty_err: list = []
 
     dirty_cells = 0
-    batched_cells = 0
-    residual_cells = 0
     t_batched = 0.0
-    t_residual = 0.0
     t_loop = time.perf_counter()
     for p in range(n_periods):
         start = starts_l[p]
@@ -1212,60 +632,26 @@ def _simulate_direction_cohort(
         failm = np.logical_and(tx4[:, sl][case],
                                np.logical_not(decoded, out=notdec[:, :m]),
                                out=failm2[:, :m])
-        fail_any = failm.any(axis=1)
         cnt = percnt4[:, p][case]
         # Narrowed dirty predicate: a pending queue only dirties a
         # period its head can actually come due in — a backlog due
         # beyond ``stop`` leaves the whole period on the clean path.
-        dirty = fail_any | (lanes.due[:, 0] < stop)
+        dirty = failm.any(axis=1) | (lanes.due[:, 0] < stop)
         clean = ~dirty
         clean2t[p] = clean
         acks = np.where(clean, cnt, 0)
         nacks = np.zeros(n_cols, dtype=np.int64)
 
-        if dirty.any():
-            dirty_cells += int(dirty.sum())
-            # Tier split: the batched lanes take every dirty column
-            # except genuinely pathological backlogs, whose round count
-            # would stall the whole cohort's batched pass.
-            residual = dirty & (lanes.n > _RESIDUAL_PENDING)
-            bidx = np.flatnonzero(dirty & ~residual)
-            if bidx.size:
-                tb = time.perf_counter()
-                a_b, n_b = lanes.run_period(
-                    bidx, start, stop, failm[bidx], case[bidx],
-                    tbs_full[bidx], tbs_special[bidx],
-                    retx2, decoded2, p_err2,
-                )
-                acks[bidx] = a_b
-                nacks[bidx] = n_b
-                batched_cells += bidx.size
-                t_batched += time.perf_counter() - tb
-            if residual.any():
-                tr = time.perf_counter()
-                dci_p = dci2t[p]
-                for c in np.flatnonzero(residual).tolist():
-                    col = cols[c]
-                    if col is None:
-                        col = cols[c] = _Column(n_slots)
-                        _COUNTERS["columns_touched_fallback"] += 1
-                    col.heap = lanes.export_heap(c)
-                    ci = int(case[c])
-                    a, n = _run_column_period(
-                        col, start, stop, tx4[ci], cum4_l[ci], usable_l,
-                        special_l, decoded[c], p_err2[c], retx2[c],
-                        (int(prb2[c, p]), int(mcs[c]), int(mod[c]),
-                         int(layers[c]), int(cqi[c]), int(dci_p[c])),
-                        int(tbs_full[c]), int(tbs_special[c]),
-                        rtt, scale, max_attempts,
-                        failm[c].nonzero()[0].tolist() if fail_any[c]
-                        else empty_err,
-                    )
-                    acks[c] = a
-                    nacks[c] = n
-                    lanes.import_heap(c, col.heap)
-                    residual_cells += 1
-                t_residual += time.perf_counter() - tr
+        bidx = np.flatnonzero(dirty)
+        if bidx.size:
+            tb = time.perf_counter()
+            a_b, n_b = lanes.run_period(
+                bidx, start, stop, failm[bidx], case[bidx],
+                tbs_full[bidx], tbs_special[bidx])
+            acks[bidx] = a_b
+            nacks[bidx] = n_b
+            dirty_cells += bidx.size
+            t_batched += time.perf_counter() - tb
 
         if olla_enabled:
             np.add(delta, acks * olla_up, out=delta)
@@ -1278,16 +664,11 @@ def _simulate_direction_cohort(
     _COUNTERS["columns"] += n_cols
     _COUNTERS["cells"] += n_cols * n_periods
     _COUNTERS["dirty_periods"] += dirty_cells
-    _COUNTERS["batched_periods"] += batched_cells
-    if batched_cells and _native.load_kernel() is not None:
-        _COUNTERS["native_periods"] += batched_cells
-    _COUNTERS["residual_periods"] += residual_cells
     _COUNTERS["slots"] += n_cols * n_slots
     _COUNTERS["seconds"] += t_end - t0
     _COUNTERS["predraw_s"] += t_loop - t0
     _COUNTERS["batched_s"] += t_batched
-    _COUNTERS["residual_s"] += t_residual
-    _COUNTERS["pass_s"] += (t_end - t_loop) - t_batched - t_residual
+    _COUNTERS["pass_s"] += (t_end - t_loop) - t_batched
 
     # --- flush: one column trace at a time ------------------------------
     # Back to column-major so each column's per-period constants are a
@@ -1320,8 +701,8 @@ def _simulate_direction_cohort(
         # to ``pass_s`` — exactly like the pre-draw, which writes
         # sinr/rsrp/rsrq straight into the arena and is charged to
         # ``predraw_s``.  ``flush_s`` is left measuring what flushing
-        # still costs with an arena: trace-view creation, the residual
-        # fallback columns, and the CQI forward-fill.
+        # still costs with an arena: trace-view creation and the CQI
+        # forward-fill.
         acols = arena.columns
         acols["slot_type"][:] = slot_types
         pos2 = period_of_slot
@@ -1358,7 +739,7 @@ def _simulate_direction_cohort(
         t_fill = time.perf_counter()
         _COUNTERS["pass_s"] += t_fill - tf
         if events is not None:
-            # Batched serve/deferral events as one flat scatter: event
+            # Kernel serve/deferral events as one flat scatter: event
             # slots are unique per column and disjoint from the masked
             # fill above, so write order does not matter.  These are the
             # retx lanes' outputs landing in place — charged to
@@ -1386,9 +767,6 @@ def _simulate_direction_cohort(
         t_events = time.perf_counter()
         _COUNTERS["batched_s"] += t_events - t_fill
         traces = [arena.trace(c, metadata=metadatas[c]) for c in range(n_cols)]
-        for c in range(n_cols):
-            if cols[c] is not None:
-                _flush_column(cols[c], traces[c], special_mask, decoded2[c])
         # Forward-fill CQI across the whole cohort — the exact per-row
         # equivalent of _forward_fill_cqi (integer ops, so vectorizing
         # across rows cannot perturb a single value).
@@ -1417,9 +795,9 @@ def _simulate_direction_cohort(
         trace.rsrp_dbm[:] = channels[c].rsrp_dbm
         trace.rsrq_db[:] = channels[c].rsrq_db
         trace.slot_type[:] = slot_types
-        # Clean-period and batched committed-segment slots, bulk-filled
-        # from the per-period constant tensors (disjoint from event and
-        # residual-runner slots; every value equals what the per-session
+        # Clean-period and kernel committed-segment slots, bulk-filled
+        # from the per-period constant tensors (disjoint from event
+        # slots; every value equals what the per-session
         # flush writes there — clean slots all decoded, so the general
         # delivered/error formula degenerates to the clean fill).
         case_slot = case2[c][period_of_slot]
@@ -1442,9 +820,8 @@ def _simulate_direction_cohort(
             trace.delivered_bits[idx] = np.where(ok, tbs_vec, 0)
             trace.error[idx] = ~ok
         if events is not None:
-            # Batched serve/deferral events: same payloads the residual
-            # runner buffers, with the period constants gathered via
-            # period-of-slot instead of np.repeat over meta rows.
+            # Kernel serve/deferral events, with the period constants
+            # gathered via period-of-slot.
             ev_bounds, ev_slot, ev_tbs, ev_ok, ev_retx = events
             lo, hi = ev_bounds[c], ev_bounds[c + 1]
             if hi > lo:
@@ -1463,13 +840,33 @@ def _simulate_direction_cohort(
                 trace.tbs_bits[ridx] = rtbs
                 trace.delivered_bits[ridx] = np.where(rok, rtbs, 0)
                 trace.error[ridx] = ~rok
-        if cols[c] is not None:
-            _flush_column(cols[c], trace, special_mask, decoded2[c])
         _forward_fill_cqi(trace)
         dt = time.perf_counter() - t1
         _COUNTERS["seconds"] += dt
         _COUNTERS["flush_s"] += dt
         yield trace
+
+
+def _check_cohort(channels, rngs, metadatas):
+    """Validate a cohort's per-column inputs and return the retx kernel.
+
+    Runs eagerly at call time (the passes themselves are lazy
+    generators), so a bad cohort or a missing kernel fails where the
+    cohort is requested rather than at the first ``next()``.
+    """
+    if not (len(channels) == len(rngs) == len(metadatas)) or not channels:
+        raise ValueError("cohort needs matching, non-empty channels/rngs/metadatas")
+    if any(ch.n_slots != channels[0].n_slots for ch in channels):
+        raise ValueError("cohort channels must share one slot count")
+    kernel = _native.load_kernel()
+    if kernel is None:
+        reason = _native.kernel_status()["error"] or "load_kernel() returned None"
+        raise RuntimeError(
+            "the cohort tensor engine needs the native retx kernel, which is "
+            f"not loaded ({reason}); run the sessions through a per-session "
+            "engine — resolve_engine() only selects 'tensor' when the kernel "
+            "is loaded")
+    return kernel
 
 
 def simulate_downlink_cohort(
@@ -1489,6 +886,9 @@ def simulate_downlink_cohort(
     trace per column.  ``arena_factory`` (see
     :func:`_simulate_direction_cohort`) switches the flush to cohort-wide
     2-D writes into a :class:`~repro.xcal.arena.CohortArena`.
+
+    Raises :class:`RuntimeError` when the native retx kernel is not
+    loaded (see :func:`repro.ran._native.kernel_status`).
     """
     params = params or SimParams()
     if metadatas is None:
@@ -1496,12 +896,11 @@ def simulate_downlink_cohort(
             carrier_name=cell.name, direction="DL",
             bandwidth_mhz=cell.bandwidth_mhz, scs_khz=cell.scs_khz,
         ) for _ in channels]
-    if not (len(channels) == len(rngs) == len(metadatas)) or not channels:
-        raise ValueError("cohort needs matching, non-empty channels/rngs/metadatas")
+    kernel = _check_cohort(channels, rngs, metadatas)
     return _simulate_direction_cohort(
         cell, channels, SlotType.DL, rngs, params,
         max_layers=cell.max_layers, n_prb=cell.grantable_rb, metadatas=metadatas,
-        arena_factory=arena_factory,
+        kernel=kernel, arena_factory=arena_factory,
     )
 
 
@@ -1521,12 +920,11 @@ def simulate_uplink_cohort(
             carrier_name=cell.name, direction="UL",
             bandwidth_mhz=cell.bandwidth_mhz, scs_khz=cell.scs_khz,
         ) for _ in channels]
-    if not (len(channels) == len(rngs) == len(metadatas)) or not channels:
-        raise ValueError("cohort needs matching, non-empty channels/rngs/metadatas")
+    kernel = _check_cohort(channels, rngs, metadatas)
     ul_cell = replace(cell, max_modulation=Modulation.QAM64) \
         if cell.max_modulation is not Modulation.QAM64 else cell
     return _simulate_direction_cohort(
         ul_cell, channels, SlotType.UL, rngs, params,
         max_layers=min(max_layers, cell.max_layers), n_prb=cell.grantable_rb,
-        metadatas=metadatas, arena_factory=arena_factory,
+        metadatas=metadatas, kernel=kernel, arena_factory=arena_factory,
     )

@@ -360,7 +360,7 @@ class TestReduceWorkloadShape:
 
 def _tensor_report(session_cold=150.0, session_warm=155.0,
                    tensor_cold=525.0, tensor_warm=550.0,
-                   cohorts=8, residual_fraction=0.017, quick=True) -> dict:
+                   cohorts=8, quick=True) -> dict:
     def cell(rate):
         return {"sessions_per_s": rate, "wall_s": round(64.0 / rate, 3)}
 
@@ -377,18 +377,15 @@ def _tensor_report(session_cold=150.0, session_warm=155.0,
             "tensor_warm": cell(tensor_warm),
         },
         "cohort": {"cohorts": cohorts, "columns": cohorts * 32,
-                   "columns_touched_fallback": cohorts * 32,
                    "cells": 51200,
                    "dirty_periods": 28000,
-                   "batched_periods": 27500,
-                   "residual_periods": 500,
                    "dirty_fraction": 0.5469,
-                   "residual_fraction_of_dirty": residual_fraction,
                    "native_kernel": True,
+                   "native_kernel_error": None,
                    "tensor_slots_per_s": 1.4e6},
         "phases": {"predraw_s": 0.05, "tensor_pass_s": 0.09,
-                   "batched_retx_s": 0.04, "residual_fallback_s": 0.02,
-                   "flush_s": 0.13, "total_s": 0.45},
+                   "batched_retx_s": 0.06, "flush_s": 0.13,
+                   "total_s": 0.45},
         "speedup": {
             "tensor_cold_vs_session_cold": round(tensor_cold / session_cold, 2),
             "tensor_warm_vs_session_warm": round(tensor_warm / session_warm, 2),
@@ -430,24 +427,24 @@ class TestTensorRegressionGate:
         report = _tensor_report(tensor_cold=330.0, quick=True)
         assert bench.tensor_regression_failures(report, report) == []
 
-    def test_residual_above_ceiling_fails(self):
-        # The batched pass must carry dirty cells; a punt predicate
-        # regression shows up as residual share past the 5% ceiling.
-        report = _tensor_report(residual_fraction=0.12)
-        failures = bench.tensor_regression_failures(report, report)
-        assert any(f.startswith("batched-retx:") for f in failures)
-
-    def test_residual_ceiling_skipped_for_legacy_reports(self):
-        report = _tensor_report()
-        del report["cohort"]["residual_fraction_of_dirty"]
-        assert bench.tensor_regression_failures(report, report) == []
-
     def test_no_cohorts_run_fails(self):
         # A policy regression degrading every cohort to the per-session
         # engine gates red even at a 1.0x-ish honest ratio.
         report = _tensor_report(cohorts=0)
         failures = bench.tensor_regression_failures(report, report)
         assert any(f.startswith("cohort:") for f in failures)
+        assert not any("kernel" in f for f in failures)
+
+    def test_no_cohorts_names_missing_kernel(self):
+        # Without the native kernel the policy runs every cohort
+        # per-session; the failure must name that cause.
+        report = _tensor_report(cohorts=0)
+        report["cohort"]["native_kernel"] = False
+        report["cohort"]["native_kernel_error"] = "disabled via REPRO_NATIVE"
+        failures = bench.tensor_regression_failures(report, report)
+        assert any(f.startswith("cohort:") and "native retx kernel was not "
+                   "loaded (disabled via REPRO_NATIVE)" in f
+                   for f in failures)
 
     def test_missing_reference_reports_cleanly(self):
         base = _tensor_report()
@@ -468,14 +465,13 @@ class TestTensorRender:
         text = bench.render_tensor(_tensor_report())
         assert "tensor_cold" in text and "session_cold" in text
         assert "3.50x" in text  # 525 / 150 cold speedup
-        assert "columns_touched_fallback=256" in text
+        assert "cohorts=8 columns=256 dirty_periods=28000" in text
 
     def test_render_shows_dirty_split_and_phases(self):
         text = bench.render_tensor(_tensor_report())
-        assert "dirty=54.7%" in text
-        assert "batched=27500 (native)" in text
-        assert "residual=500 (1.7% of dirty)" in text
-        assert "phases:" in text and "batched_retx=0.04s" in text
+        assert "dirty=54.7% of 51200 cells (native kernel loaded)" in text
+        assert "residual" not in text
+        assert "phases:" in text and "batched_retx=0.06s" in text
 
 
 class TestTensorWorkloadShape:

@@ -6,26 +6,36 @@ to running each session alone through the per-session engines — the
 same npz bytes a campaign export would write.  The matrix covers the
 knobs that reshape the slot loop (modulation table, TDD vs FDD, OLLA
 on/off, retx density via SINR regime, DL vs UL) crossed with cohort
-sizes, plus an adversarial mixed cohort where only some columns ever
-diverge into the per-column fallback runner.
+sizes, an adversarial mixed cohort where only some columns ever hand
+dirty cells to the native retx kernel, and a generated differential
+test over the same knobs.
+
+The tensor engine needs the native kernel; tests that call
+``simulate_*_cohort`` directly skip without it (``REPRO_NATIVE=0`` or
+no C compiler), while the engine-policy tests run either way.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.channel.model import SyntheticChannel
 from repro.nr.mcs import Modulation
 from repro.nr.tdd import TddPattern
-from repro.ran import tensor
-from repro.ran.config import CellConfig, resolve_engine
+from repro.ran import _native, tensor
+from repro.ran.config import TENSOR_MIN_COHORT, CellConfig, resolve_engine
 from repro.ran.simulator import SimParams, simulate_downlink, simulate_uplink
 from repro.ran.tensor import simulate_downlink_cohort, simulate_uplink_cohort
 from repro.xcal.io import npz_bytes, trace_to_arrays
 
 DURATION_S = 1.5
 JITTER_DB = 2.0
+
+needs_kernel = pytest.mark.skipif(
+    _native.load_kernel() is None,
+    reason=f"native retx kernel not loaded: {_native.kernel_status()['error']}")
 
 
 def _trace_bytes(trace) -> bytes:
@@ -83,7 +93,7 @@ CASES = {
     "tdd-256qam-good": (_tdd_cell(Modulation.QAM256), 22.0, {}),
     # Mid SINR: OLLA converges to ~10% BLER, every column diverges often.
     "tdd-256qam-mid": (_tdd_cell(Modulation.QAM256), 12.0, {}),
-    # Poor SINR: retx windows dominate, the fallback runner carries most
+    # Poor SINR: retx windows dominate, the retx kernel carries most
     # slots — the tensor pass must still match byte for byte.
     "tdd-256qam-poor": (_tdd_cell(Modulation.QAM256), 2.0, {}),
     "tdd-64qam": (_tdd_cell(Modulation.QAM64, bandwidth_mhz=60), 15.0, {}),
@@ -96,6 +106,7 @@ CASES = {
 }
 
 
+@needs_kernel
 @pytest.mark.parametrize("cohort_size", [3, 7])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_downlink_cohort_byte_identical(case: str, cohort_size: int):
@@ -108,6 +119,7 @@ def test_downlink_cohort_byte_identical(case: str, cohort_size: int):
     assert cohort == singles
 
 
+@needs_kernel
 @pytest.mark.parametrize("seed0", [7, 70])
 def test_uplink_cohort_byte_identical(seed0: int):
     cell = _tdd_cell(Modulation.QAM256)
@@ -118,6 +130,7 @@ def test_uplink_cohort_byte_identical(seed0: int):
     assert cohort == singles
 
 
+@needs_kernel
 def test_cohort_matches_vectorized_engine_too():
     cell, sinr, params = CASES["tdd-256qam-mid"]
     seeds = [90, 91, 92]
@@ -128,14 +141,15 @@ def test_cohort_matches_vectorized_engine_too():
     assert cohort == vec
 
 
+@needs_kernel
 def test_divergent_retx_fallback_mixed_columns():
     """Adversarial cohort: some columns never fail, others retransmit.
 
     With OLLA off and a conservative CQI mapping at high (per-seed
     jittered) SINR, clean columns ride the tensor fast path for the
-    whole session while dirty columns drop into the per-column
-    fallback runner — the counters must show a strict mix, and every
-    column must still match the reference oracle byte for byte.
+    whole session while dirty columns hand their periods to the retx
+    kernel — the cohort must hold a strict mix, and every column must
+    still match the reference oracle byte for byte.
     """
     cell = _tdd_cell(Modulation.QAM256)
     params = dict(olla_enabled=False, cqi_alpha=0.4)
@@ -162,11 +176,10 @@ def test_divergent_retx_fallback_mixed_columns():
     assert cohort == singles
     assert stats["cohorts"] == 1
     assert stats["columns"] == len(seeds)
-    # The adversarial mix: some columns diverged, some never did.
-    assert 0 < stats["columns_touched_fallback"] < len(seeds)
-    assert stats["dirty_periods"] > 0
+    # Some cells went to the kernel, not all.
+    assert 0 < stats["dirty_periods"] < stats["cells"]
 
-    # The fallback columns really retransmitted; the clean ones did not.
+    # The adversarial mix: some columns retransmitted, some never did.
     retx_counts = []
     for seed in seeds:
         channel, rng = _channel_and_rng(mean, seed, cell, duration, jitter)
@@ -183,14 +196,14 @@ HIGH_BLER_PARAMS = dict(cqi_alpha=2.0, retx_error_scale=1.0,
 HIGH_BLER_SINR = -2.0
 
 
+@needs_kernel
 def test_high_bler_cohort_byte_identical():
-    """Forced >=80% dirty cells: the batched pass carries the cohort.
+    """Forced >=80% dirty cells: the retx kernel carries the cohort.
 
     At -2 dB with an aggressive CQI mapping nearly every (column, period)
-    cell holds pending retransmissions, so the clean-bookkeeping tier
-    almost never applies — the batched retx lanes (and, for the deepest
-    backlogs, the residual fallback) do the work and must still match
-    the per-session reference byte for byte.
+    cell holds pending retransmissions, often several deep, so the
+    clean-bookkeeping tier almost never applies — the kernel does the
+    work and must still match the per-session reference byte for byte.
     """
     cell = _tdd_cell(Modulation.QAM256)
     seeds = list(range(5))
@@ -203,64 +216,85 @@ def test_high_bler_cohort_byte_identical():
 
     assert cohort == singles
     assert stats["dirty_periods"] / stats["cells"] >= 0.8
-    assert stats["batched_periods"] > 0
 
 
-def test_native_and_numpy_retx_tiers_identical(monkeypatch):
-    """The compiled kernel and the portable numpy pass agree bytewise.
+_CELLS = {"tdd": _tdd_cell(Modulation.QAM256), "fdd": _fdd_cell()}
 
-    Both tiers must produce identical traces; the counters must also
-    show which tier ran (``native_periods`` collapses to zero when the
-    kernel is forced off).
-    """
-    from repro.ran import _native
+
+@needs_kernel
+@settings(max_examples=60, deadline=None)
+@given(
+    cell_key=st.sampled_from(sorted(_CELLS)),
+    direction=st.sampled_from(["DL", "UL"]),
+    sinr=st.floats(min_value=-4.0, max_value=25.0),
+    cqi_alpha=st.floats(min_value=0.4, max_value=2.0),
+    retx_error_scale=st.floats(min_value=0.0, max_value=1.0),
+    harq_rtt_slots=st.integers(min_value=4, max_value=16),
+    olla_enabled=st.booleans(),
+    cohort_size=st.integers(min_value=2, max_value=6),
+    duration_s=st.sampled_from([0.2, 0.35, 0.5]),
+    seed0=st.integers(min_value=0, max_value=10_000),
+)
+def test_generated_cohorts_match_reference(cell_key, direction, sinr,
+                                           cqi_alpha, retx_error_scale,
+                                           harq_rtt_slots, olla_enabled,
+                                           cohort_size, duration_s, seed0):
+    """Generated differential test: any cohort the kernel walks matches
+    the per-session reference oracle byte for byte, from clean
+    high-SINR cohorts to deep low-SINR retransmission backlogs."""
+    cell = _CELLS[cell_key]
+    params = dict(cqi_alpha=cqi_alpha, retx_error_scale=retx_error_scale,
+                  harq_rtt_slots=harq_rtt_slots, olla_enabled=olla_enabled)
+    single, cohort_fn = ((simulate_downlink, simulate_downlink_cohort)
+                         if direction == "DL" else
+                         (simulate_uplink, simulate_uplink_cohort))
+    seeds = list(range(seed0, seed0 + cohort_size))
+    singles = [_single_bytes(single, cell, sinr, s, "reference", duration_s,
+                             **params) for s in seeds]
+    cohort = _cohort_bytes(cohort_fn, cell, sinr, seeds, duration_s, **params)
+    assert cohort == singles
+
+
+def test_no_kernel_runs_per_session(monkeypatch):
+    """Without the kernel the policy never picks the tensor engine, the
+    cohort runner falls back to per-session runs with unchanged output,
+    and a direct cohort call fails with a clear error."""
+    from repro.operators.profiles import EU_PROFILES
+    from repro.xcal.dataset import CampaignSpec, run_session, run_session_cohort
+
+    profile = EU_PROFILES["V_Sp"]
+    spec = CampaignSpec(minutes_per_operator=0.1, session_s=0.5, seed=3)
+    seeds = list(range(11, 11 + TENSOR_MIN_COHORT))
+    expected = [_trace_bytes(run_session(profile, spec, "DL", s))
+                for s in seeds]
+    if _native.load_kernel() is not None:
+        tensor.reset_cohort_stats()
+        assert [_trace_bytes(t) for t in run_session_cohort(
+            profile, spec, "DL", seeds)] == expected
+        assert tensor.cohort_stats()["cohorts"] == 1
+
+    monkeypatch.setattr(_native, "load_kernel", lambda: None)
+    assert resolve_engine("auto", 64) == "vectorized"
+    assert resolve_engine("tensor", 64) == "vectorized"
+    monkeypatch.setenv("REPRO_ENGINE", "tensor")
+    assert resolve_engine("vectorized", 64) == "vectorized"
+    monkeypatch.delenv("REPRO_ENGINE")
+
+    tensor.reset_cohort_stats()
+    assert [_trace_bytes(t) for t in run_session_cohort(
+        profile, spec, "DL", seeds)] == expected
+    assert tensor.cohort_stats()["cohorts"] == 0
 
     cell = _tdd_cell(Modulation.QAM256)
-    seeds = list(range(20, 24))
-
-    tensor.reset_cohort_stats()
-    default = _cohort_bytes(simulate_downlink_cohort, cell, HIGH_BLER_SINR,
-                            seeds, **HIGH_BLER_PARAMS)
-    default_stats = tensor.cohort_stats()
-    if _native.load_kernel() is not None:
-        assert default_stats["native_periods"] == \
-            default_stats["batched_periods"] > 0
-
-    monkeypatch.setattr(tensor._native, "load_kernel", lambda: None)
-    tensor.reset_cohort_stats()
-    portable = _cohort_bytes(simulate_downlink_cohort, cell, HIGH_BLER_SINR,
-                             seeds, **HIGH_BLER_PARAMS)
-    portable_stats = tensor.cohort_stats()
-
-    assert portable == default
-    assert portable_stats["native_periods"] == 0
-    assert portable_stats["batched_periods"] == \
-        default_stats["batched_periods"] > 0
+    channels, rngs = zip(*(_channel_and_rng(10.0, s, cell, 0.2)
+                           for s in (1, 2)))
+    with pytest.raises(RuntimeError, match="native retx kernel"):
+        simulate_downlink_cohort(cell, channels, rngs, params=SimParams())
+    with pytest.raises(RuntimeError, match="native retx kernel"):
+        simulate_uplink_cohort(cell, channels, rngs, params=SimParams())
 
 
-def test_forced_residual_cohort(monkeypatch):
-    """Every dirty cell punted to the residual per-column fallback.
-
-    Dropping the backlog threshold below zero forces the batched lanes
-    out of the picture entirely; the scalar fallback must carry the
-    whole dirty load and still match the reference oracle.
-    """
-    monkeypatch.setattr(tensor, "_RESIDUAL_PENDING", -1)
-    cell, sinr, params = CASES["tdd-retx-heavy"]
-    seeds = [30, 31, 32, 33]
-    singles = [_single_bytes(simulate_downlink, cell, sinr, s, "reference",
-                             **params) for s in seeds]
-    tensor.reset_cohort_stats()
-    cohort = _cohort_bytes(simulate_downlink_cohort, cell, sinr, seeds,
-                           **params)
-    stats = tensor.cohort_stats()
-
-    assert cohort == singles
-    assert stats["dirty_periods"] > 0
-    assert stats["residual_periods"] == stats["dirty_periods"]
-    assert stats["batched_periods"] == 0
-
-
+@needs_kernel
 def test_cohort_stats_render():
     tensor.reset_cohort_stats()
     line = tensor.render_cohort_stats()
@@ -269,8 +303,11 @@ def test_cohort_stats_render():
     _cohort_bytes(simulate_downlink_cohort, cell, sinr, [5, 6, 7], **params)
     stats = tensor.cohort_stats()
     assert stats["cohorts"] == 1 and stats["columns"] == 3
-    assert "slots_per_s" in tensor.render_cohort_stats().replace("slots_per_s",
-                                                                 "slots_per_s")
+    line = tensor.render_cohort_stats()
+    assert "tensor cohorts=1 columns=3 " in line
+    assert "kernel=loaded" in line and "residual" not in line
+    rate = float(line.rsplit("slots_per_s=", 1)[1].replace(",", ""))
+    assert rate > 0
 
 
 def test_cohort_validates_inputs():
@@ -288,19 +325,39 @@ def test_cohort_validates_inputs():
 
 
 class TestEnginePolicy:
-    def test_decision_table(self):
+    @pytest.fixture
+    def kernel(self, monkeypatch):
+        """Pretend the native kernel is loaded (the policy only checks
+        that ``load_kernel()`` is not ``None``)."""
+        monkeypatch.setattr(_native, "load_kernel", lambda: object())
+
+    @pytest.fixture
+    def no_kernel(self, monkeypatch):
+        monkeypatch.setattr(_native, "load_kernel", lambda: None)
+
+    def test_decision_table(self, kernel):
+        below = TENSOR_MIN_COHORT - 1
         assert resolve_engine("auto", 1) == "vectorized"
-        assert resolve_engine("auto", 2) == "tensor"
+        assert resolve_engine("auto", below) == "vectorized"
+        assert resolve_engine("auto", TENSOR_MIN_COHORT) == "tensor"
         assert resolve_engine("tensor", 1) == "vectorized"
+        assert resolve_engine("tensor", 2) == "tensor"
         assert resolve_engine("tensor", 32) == "tensor"
         assert resolve_engine("vectorized", 32) == "vectorized"
         assert resolve_engine("reference", 32) == "reference"
+
+    def test_decision_table_without_kernel(self, no_kernel):
+        for size in (1, 2, TENSOR_MIN_COHORT, 64):
+            assert resolve_engine("auto", size) == "vectorized"
+            assert resolve_engine("tensor", size) == "vectorized"
+            assert resolve_engine("vectorized", size) == "vectorized"
+            assert resolve_engine("reference", size) == "reference"
 
     def test_invalid_engine(self):
         with pytest.raises(ValueError):
             resolve_engine("warp", 2)
 
-    def test_env_override(self, monkeypatch):
+    def test_env_override(self, kernel, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "vectorized")
         assert resolve_engine("auto", 64) == "vectorized"
         assert resolve_engine("tensor", 64) == "vectorized"
