@@ -1,12 +1,14 @@
-"""Bench SE — slot-engine throughput, vectorized vs reference.
+"""Bench SE — slot-engine throughput: native, vectorized, reference.
 
 Unlike the figure benchmarks, these time the slot engines directly on
 the ``repro bench`` workloads (the Fig. 1 V_Sp carrier): one trace per
-engine so the suite's timing table shows the vectorized/reference gap
-per workload, plus a summary run through :func:`repro.core.bench.measure`
-that asserts the fast path actually is the fast path.  Throughput
-tracking across PRs lives in ``repro bench`` / ``BENCH_slot_engine.json``;
-these keep the same numbers visible inside the pytest-benchmark suite.
+engine so the suite's timing table shows the gaps per workload, plus a
+summary run through :func:`repro.core.bench.measure` that asserts the
+fast paths actually are the fast paths.  ``native`` is what
+``engine="auto"`` runs for a lone session when the native kernel
+loads.  Throughput tracking across PRs lives in ``repro bench`` /
+``BENCH_slot_engine.json``; these keep the same numbers visible inside
+the pytest-benchmark suite.
 """
 
 import pytest
@@ -21,6 +23,17 @@ SEED = 2024
 def test_single_ue_trace(benchmark, engine):
     trace = benchmark.pedantic(
         bench.single_ue_trace, args=(engine, DURATION_S, SEED),
+        rounds=1, iterations=1)
+    benchmark.extra_info["n_slots"] = len(trace)
+    assert trace.total_bits > 0
+
+
+def test_single_ue_trace_native(benchmark):
+    skipped = bench._native_skip_reason()
+    if skipped is not None:
+        pytest.skip(skipped)
+    trace = benchmark.pedantic(
+        bench.single_ue_trace, args=("auto", DURATION_S, SEED),
         rounds=1, iterations=1)
     benchmark.extra_info["n_slots"] = len(trace)
     assert trace.total_bits > 0
@@ -50,3 +63,10 @@ def test_vectorized_beats_reference(benchmark):
         # Warm best-of throughput: the segment-batched path must beat the
         # scalar oracle on its home workload or the default is wrong.
         assert vec > ref, f"{name}: vectorized {vec:,.0f} <= reference {ref:,.0f}"
+        native = data.get("native", {}).get("warm_slots_per_s")
+        if native is not None:
+            # What engine="auto" runs for a lone session must beat the
+            # portable engine it replaces.
+            benchmark.extra_info[f"{name}_native_warm"] = native
+            assert native > vec, \
+                f"{name}: native {native:,.0f} <= vectorized {vec:,.0f}"

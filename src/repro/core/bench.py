@@ -4,8 +4,10 @@ Five tracked workloads, selected with ``--workload``:
 
 - ``slot`` (default) — the slot engines, the hot path under every
   figure, table and campaign: slots/sec on the Fig. 1 single-carrier
-  workload (the V_Sp n78 90 MHz deployment) for both the vectorized
-  and the reference engine, single- and multi-UE, cold and warm.
+  workload (the V_Sp n78 90 MHz deployment) for the vectorized and the
+  reference engine, single- and multi-UE, cold and warm, plus the
+  native whole-session kernel (what ``engine="auto"`` runs for a lone
+  session) on the single-UE workload.
   Report: ``BENCH_slot_engine.json``.
 - ``campaign`` — the execution layer end to end: sessions/sec of a
   four-operator campaign through :func:`repro.core.runner.run_tasks`
@@ -150,17 +152,37 @@ def multi_ue_traces(engine: str = "vectorized", duration_s: float = 5.0,
                                    rng=rng, params=profile.sim_params(engine=engine))
 
 
+#: Engines gated by :func:`regression_failures`.  ``native`` is the
+#: engine ``engine="auto"`` resolves to for a lone session when the
+#: native kernel loads; it is measured on the single-UE workload only
+#: (multi-UE runs have no native engine).
+_GATED_ENGINES = ("vectorized", "native")
+
+
+def _native_skip_reason() -> str | None:
+    """Why the native row cannot be measured here, or ``None``."""
+    from repro.ran._native import kernel_status, load_kernel
+    from repro.ran.config import resolve_engine
+
+    if load_kernel() is None:
+        return f"native kernel not loaded: {kernel_status()['error']}"
+    if resolve_engine("auto", 1) != "native":
+        return "engine='auto' does not resolve to native (REPRO_ENGINE set?)"
+    return None
+
+
 def _warm_process(seed: int) -> None:
     """Untimed process warmup before any timed engine run.
 
     Lazy imports, numpy ufunc caches and other one-time process costs
     used to land entirely on whichever engine was timed first (the
     vectorized one), making its "cold" number look far worse than the
-    reference engine's.  Tiny untimed sessions of both engines pay
-    those costs up front; the TBS matrix cache is cleared again before
-    each timed cold run, so "cold" still means what it says.
+    reference engine's.  Tiny untimed sessions of every engine pay
+    those costs up front (``auto`` builds the native kernel); the TBS
+    matrix cache is cleared again before each timed cold run, so
+    "cold" still means what it says.
     """
-    for engine in ("vectorized", "reference"):
+    for engine in ("vectorized", "reference", "auto"):
         single_ue_trace(engine, 0.2, seed)
         multi_ue_traces(engine, 0.2, seed=seed)
 
@@ -195,6 +217,12 @@ def measure(quick: bool = False, seed: int = 2024,
         single[engine] = _time_engine(
             lambda engine=engine: single_ue_trace(engine, duration_s, seed),
             len, repetitions)
+    skipped = _native_skip_reason()
+    if skipped is None:
+        single["native"] = _time_engine(
+            lambda: single_ue_trace("auto", duration_s, seed), len, repetitions)
+    else:
+        single["native"] = {"skipped": skipped}
     single["n_slots"] = len(single_ue_trace("vectorized", duration_s, seed))
     workloads["single_ue"] = single
 
@@ -231,6 +259,10 @@ def measure(quick: bool = False, seed: int = 2024,
             "multi_ue": round(multi["vectorized"]["warm_slots_per_s"]
                               / PRE_PR_BASELINE["multi_ue_slots_per_s"], 2),
         }
+        if "warm_slots_per_s" in single["native"]:
+            report["speedup_vs_pre_pr"]["single_ue_native"] = round(
+                single["native"]["warm_slots_per_s"]
+                / PRE_PR_BASELINE["single_ue_slots_per_s"], 2)
     return report
 
 
@@ -239,13 +271,16 @@ def regression_failures(current: dict[str, Any], baseline: dict[str, Any],
     """Hardware-normalized regressions of ``current`` vs ``baseline``.
 
     For each workload the reference engine's ratio between the two
-    reports estimates the machine-speed factor; a workload fails when
-    the vectorized engine lost more than ``threshold`` of its
-    throughput after that factor is divided out::
+    reports estimates the machine-speed factor; a workload fails when a
+    gated engine (``vectorized``, and ``native`` where the baseline
+    measured it) lost more than ``threshold`` of its throughput after
+    that factor is divided out::
 
-        new_vec < (1 - threshold) * base_vec * (new_ref / base_ref)
+        new_eng < (1 - threshold) * base_eng * (new_ref / base_ref)
 
-    Returns one message per failing workload (empty list = pass).
+    A native row the baseline measured but the current report skipped
+    (no kernel) fails too, with the skip reason: that is the engine
+    users get.  Returns one message per failure (empty list = pass).
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
@@ -255,17 +290,25 @@ def regression_failures(current: dict[str, Any], baseline: dict[str, Any],
         if new is None:
             failures.append(f"{name}: missing from current report")
             continue
-        base_vec = base["vectorized"]["warm_slots_per_s"]
         base_ref = base["reference"]["warm_slots_per_s"]
-        new_vec = new["vectorized"]["warm_slots_per_s"]
         new_ref = new["reference"]["warm_slots_per_s"]
         scale = new_ref / base_ref
-        floor = (1.0 - threshold) * base_vec * scale
-        if new_vec < floor:
-            failures.append(
-                f"{name}: vectorized {new_vec:,.0f} slots/s < floor {floor:,.0f} "
-                f"(baseline {base_vec:,.0f} x machine factor {scale:.2f} "
-                f"x {1.0 - threshold:.2f})")
+        for engine in _GATED_ENGINES:
+            base_eng = base.get(engine, {}).get("warm_slots_per_s")
+            if base_eng is None:
+                continue
+            new_row = new.get(engine, {})
+            new_eng = new_row.get("warm_slots_per_s")
+            if new_eng is None:
+                failures.append(f"{name}: {engine} not measured "
+                                f"({new_row.get('skipped', 'missing')})")
+                continue
+            floor = (1.0 - threshold) * base_eng * scale
+            if new_eng < floor:
+                failures.append(
+                    f"{name}: {engine} {new_eng:,.0f} slots/s < floor {floor:,.0f} "
+                    f"(baseline {base_eng:,.0f} x machine factor {scale:.2f} "
+                    f"x {1.0 - threshold:.2f})")
     return failures
 
 
@@ -277,15 +320,22 @@ def render(report: dict[str, Any]) -> str:
     for name, data in report["workloads"].items():
         lines.append(f"  {name} ({data['n_slots']} slots"
                      + (f", {data['n_ues']} UEs" if "n_ues" in data else "") + ")")
-        for engine in ("vectorized", "reference"):
-            e = data[engine]
+        for engine in ("native", "vectorized", "reference"):
+            e = data.get(engine)
+            if e is None:
+                continue
+            if "skipped" in e:
+                lines.append(f"    {engine:11s} skipped ({e['skipped']})")
+                continue
             lines.append(f"    {engine:11s} cold {e['cold_slots_per_s']:>12,.0f} slots/s"
                          f"   warm {e['warm_slots_per_s']:>12,.0f} slots/s")
     speedup = report.get("speedup_vs_pre_pr")
     if speedup:
         lines.append(f"  speedup vs pre-PR scalar engine: "
-                     f"single-UE {speedup['single_ue']:.2f}x, "
-                     f"multi-UE {speedup['multi_ue']:.2f}x")
+                     f"single-UE {speedup['single_ue']:.2f}x"
+                     + (f" (native {speedup['single_ue_native']:.2f}x)"
+                        if "single_ue_native" in speedup else "")
+                     + f", multi-UE {speedup['multi_ue']:.2f}x")
     return "\n".join(lines)
 
 
@@ -1048,9 +1098,10 @@ def measure_tensor(quick: bool = False, seed: int = 2024) -> dict[str, Any]:
       cohort grouping still happens; only the engine choice is
       overridden).  ``session_cold`` is the hardware-normalization
       reference.
-    - ``tensor_cold`` / ``tensor_warm`` — the default ``engine="auto"``
-      policy: each operator's cohort runs as one ``(sessions, slots)``
-      tensor pass.
+    - ``tensor_cold`` / ``tensor_warm`` — the tensor engine, pinned via
+      ``REPRO_ENGINE=tensor`` (``auto`` keeps cohorts of this width on
+      the native per-session engine): each operator's cohort runs as
+      one ``(sessions, slots)`` tensor pass.
 
     Cold clears the process-wide TBS matrix cache first; warm is the
     best of the remaining repetitions.  The report carries the cohort
@@ -1086,19 +1137,21 @@ def measure_tensor(quick: bool = False, seed: int = 2024) -> dict[str, Any]:
         warm = best([timed(clear=False) for _ in range(2)])
         return cold, warm
 
-    workloads: dict[str, Any] = {}
-    saved = os.environ.get(ENGINE_ENV)
-    os.environ[ENGINE_ENV] = "vectorized"
-    try:
-        workloads["session_cold"], workloads["session_warm"] = run_variant()
-    finally:
-        if saved is None:
-            del os.environ[ENGINE_ENV]
-        else:
-            os.environ[ENGINE_ENV] = saved
+    def pinned(engine: str) -> tuple[dict[str, float], dict[str, float]]:
+        saved = os.environ.get(ENGINE_ENV)
+        os.environ[ENGINE_ENV] = engine
+        try:
+            return run_variant()
+        finally:
+            if saved is None:
+                del os.environ[ENGINE_ENV]
+            else:
+                os.environ[ENGINE_ENV] = saved
 
+    workloads: dict[str, Any] = {}
+    workloads["session_cold"], workloads["session_warm"] = pinned("vectorized")
     tensor_mod.reset_cohort_stats()
-    workloads["tensor_cold"], workloads["tensor_warm"] = run_variant()
+    workloads["tensor_cold"], workloads["tensor_warm"] = pinned("tensor")
     stats = tensor_mod.cohort_stats()
     from repro.ran._native import kernel_status
 

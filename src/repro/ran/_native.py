@@ -1,20 +1,28 @@
-"""Native retransmission kernel for the cohort tensor engine.
+"""Native slot-engine kernels.
 
-The tensor engine's dirty-cell pass would be dispatch-bound in pure
-numpy: one CQI period advances ~25 columns through a handful of events
-each, and at those sizes the per-ufunc dispatch cost dominates the
-arithmetic by two orders of magnitude.  This module compiles
-``_retx_kernel.c`` — a transliteration of the per-session engines'
-retransmission walk with byte-identical semantics — into a tiny shared
+The slot loop's per-period work — link adaptation, a ~20-slot HARQ
+walk, the OLLA update — is far too small for numpy: at those sizes the
+per-ufunc dispatch cost dominates the arithmetic by two orders of
+magnitude.  This module compiles ``_retx_kernel.c`` into a tiny shared
 library with the system C compiler and loads it through :mod:`ctypes`.
+The library has two entry points, bundled as a :class:`NativeKernel`:
 
-The kernel is optional for the package but required by the tensor
-engine: no compiler, a failed build, a failed load or
-``REPRO_NATIVE=0`` leave :func:`load_kernel` returning ``None``, and
-:func:`repro.ran.config.resolve_engine` then runs every session through
-the per-session engines (same bytes).  :func:`kernel_status` exposes
-what happened so ``repro cache stats`` and the bench report can say
-why no cohort ran.
+- ``session_run`` — the whole period loop of one lone session (the
+  ``"native"`` engine of :mod:`repro.ran.simulator`), driven through a
+  :class:`SessionArgs` struct.  It returns to Python only when it needs
+  a decode-error row that numpy must evaluate.
+- ``retx_period`` — the cohort tensor engine's retransmission walk over
+  one CQI period's dirty columns.
+
+Both transliterate the Python engines with byte-identical IEEE
+semantics (see the header comment of ``_retx_kernel.c``).
+
+The kernel is optional for the package: no compiler, a failed build, a
+failed load or ``REPRO_NATIVE=0`` leave :func:`load_kernel` returning
+``None``, and :func:`repro.ran.config.resolve_engine` then runs every
+session through the portable ``vectorized`` engine (same bytes).
+:func:`kernel_status` exposes what happened so ``repro cache stats``
+and the bench report can say why the native engines did not run.
 
 The build is cached under ``$REPRO_NATIVE_CACHE`` (default
 ``$XDG_CACHE_HOME/repro-native``) keyed by a source digest, so each
@@ -30,10 +38,10 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 #: Set to ``0``/``off``/``false`` to leave the kernel unloaded (every
-#: session then runs through the per-session engines).
+#: session then runs through the portable per-session engine).
 NATIVE_ENV = "REPRO_NATIVE"
 
 #: Override the build cache directory (useful for hermetic CI runs).
@@ -44,7 +52,53 @@ _SOURCE = Path(__file__).with_name("_retx_kernel.c")
 _state: dict[str, Any] = {"loaded": False, "fn": None, "error": None}
 
 _i64 = ctypes.c_int64
+_f64 = ctypes.c_double
 _ptr = ctypes.c_void_p
+
+
+class NativeKernel(NamedTuple):
+    """The library's two entry points (ctypes functions)."""
+
+    #: ``repro_session_run(SessionArgs *) -> int64``.
+    session_run: Any
+    #: ``repro_retx_period(...)``, see :data:`_ARGTYPES`.
+    retx_period: Any
+
+
+class SessionArgs(ctypes.Structure):
+    """``repro_session_t``: inputs, outputs and resumable state of one
+    session run.  Field order and types mirror the C struct exactly;
+    pointer fields hold ``ndarray.ctypes.data`` of arrays the caller
+    keeps alive for the whole run."""
+
+    _fields_ = [
+        (name, kind)
+        for names, kind in (
+            ("n_slots period n_periods window", _i64),
+            ("usable special uniforms retx_uniforms measured "
+             "cqi fb dci prb grant mcs_lut", _ptr),
+            ("n_cqi n_off off_lo", _i64),
+            ("mod_lut", _ptr),
+            ("n_mcs", _i64),
+            ("tb_full tb_special", _ptr),
+            ("n_grants max_layers", _i64),
+            ("rank_up rank_keep", _ptr),
+            ("n_rank_steps rank_max", _i64),
+            ("beta one_minus_beta", _f64),
+            ("olla_enabled", _i64),
+            ("olla_up olla_down olla_lo olla_hi", _f64),
+            ("rtt max_attempts", _i64),
+            ("retx_scale", _f64),
+            ("rows row_lo row_hi q_due q_tbs q_att q_p "
+             "scheduled is_retx error n_prb n_re mcs_index "
+             "modulation_order layers tbs_bits delivered_bits "
+             "cqi_out dci_format", _ptr),
+            ("next_period q_head q_tail rank", _i64),
+            ("ewma delta", _f64),
+            ("need_row need_lo", _i64),
+        )
+        for name in names.split()
+    ]
 
 #: ``repro_retx_period`` signature — positional groups mirror the C
 #: declaration: batched columns, lane state, per-call inputs, cohort
@@ -84,6 +138,14 @@ def _compiler() -> str | None:
     return None
 
 
+#: Compiler flags (part of the build cache key).  -ffp-contract=off:
+#: the kernels transliterate Python float expressions op for op (the
+#: rank EWMA, the OLLA update); a compiler allowed to fuse them into
+#: FMAs — the default on aarch64, or on x86 under -march flags with FMA
+#: — would round differently and drift from the Python engines.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
 def _build(source: Path, out: Path) -> None:
     cc = _compiler()
     if cc is None:
@@ -93,7 +155,7 @@ def _build(source: Path, out: Path) -> None:
     os.close(fd)
     try:
         subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", "-o", tmp, str(source)],
+            [cc, *_CFLAGS, "-o", tmp, str(source), "-lm"],
             check=True, capture_output=True, timeout=120,
         )
         os.replace(tmp, out)
@@ -102,8 +164,8 @@ def _build(source: Path, out: Path) -> None:
             os.unlink(tmp)
 
 
-def load_kernel():
-    """The compiled period kernel, or ``None`` when unavailable.
+def load_kernel() -> NativeKernel | None:
+    """The compiled kernels, or ``None`` when unavailable.
 
     First call compiles (or reuses the cached build) and memoizes the
     outcome — including failures, so a broken toolchain costs one
@@ -116,15 +178,19 @@ def load_kernel():
         _state["error"] = f"disabled via {NATIVE_ENV}"
         return None
     try:
-        src = _SOURCE.read_bytes()
+        src = _SOURCE.read_bytes() + " ".join(_CFLAGS).encode()
         tag = hashlib.sha256(src).hexdigest()[:16]
         lib_path = _cache_dir() / f"retx-{tag}.so"
         if not lib_path.exists():
             _build(_SOURCE, lib_path)
         lib = ctypes.CDLL(str(lib_path))
-        fn = lib.repro_retx_period
-        fn.restype = _i64
-        fn.argtypes = _ARGTYPES
+        session_run = lib.repro_session_run
+        session_run.restype = _i64
+        session_run.argtypes = [ctypes.POINTER(SessionArgs)]
+        retx_period = lib.repro_retx_period
+        retx_period.restype = _i64
+        retx_period.argtypes = _ARGTYPES
+        fn = NativeKernel(session_run=session_run, retx_period=retx_period)
     except Exception as exc:  # noqa: BLE001 - any failure means fallback
         _state["error"] = f"{type(exc).__name__}: {exc}"
         return None

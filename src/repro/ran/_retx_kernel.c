@@ -1,6 +1,228 @@
-/* Native retransmission kernel for the cohort tensor engine.
+/* Native slot-engine kernels: one shared library, two entry points.
  *
- * One call advances every dirty column of a single CQI period.  The
+ * repro_session_run — the whole CQI-period loop of one lone session
+ * (the "native" engine of simulator.py): per period the rank EWMA and
+ * hysteresis, CQI->MCS with the OLLA offset, the TBS pair, the per-slot
+ * HARQ walk with `_scalar_slot` semantics and the OLLA update, writing
+ * the SlotTrace columns in place.
+ *
+ * repro_retx_period — the cohort tensor engine's retransmission walk:
+ * one call advances every dirty column of a single CQI period.
+ *
+ * Byte-identity with the Python engines rests on three rules:
+ *
+ * - No transcendental function is evaluated here.  Decode-error
+ *   probabilities come from numpy (its SIMD exp differs from libm's in
+ *   the last bit on some inputs): the session kernel returns to the
+ *   caller at a period boundary whenever it needs a p_err row it does
+ *   not hold yet, before committing anything of that period, and the
+ *   caller fills the row with the same in-place ufunc sequence the
+ *   per-session engines run on each period slice.
+ * - Every floating-point expression transliterates the Python one in
+ *   evaluation order — (1-b)*ewma + b*meas, delta + acks*up -
+ *   nacks*down with its clamp, min(1, p*scale) — and the library is
+ *   built with -ffp-contract=off so no multiply-add is fused.
+ *   nearbyint() rounds half to even, exactly like Python's round().
+ * - Due slots of pending retransmissions are strictly increasing in
+ *   push order (every push is slot + rtt with at most one push per
+ *   slot), so the engines' due-slot min-heap is a plain FIFO lane.
+ */
+#include <math.h>
+#include <stdint.h>
+#include <string.h>
+
+/* ------------------------------------------------------------------ */
+/* Whole-session kernel                                               */
+/* ------------------------------------------------------------------ */
+
+/* Field order is mirrored by repro.ran._native.SessionArgs. */
+typedef struct {
+    /* Session constants. */
+    int64_t n_slots, period, n_periods;
+    int64_t window;                 /* p_err row capacity in slots */
+    const uint8_t *usable, *special;
+    const double *uniforms, *retx_uniforms;
+    /* Per-period measurement chain, hoisted by the caller: measured
+     * SINR, CQI, family (0 primary, 1 DCI 1_0 fallback), DCI format,
+     * grant size and its index on the stacked TBS grant axis. */
+    const double *measured;
+    const int64_t *cqi, *fb, *dci, *prb, *grant;
+    /* Link-adaptation tables. */
+    const int64_t *mcs_lut;         /* (2, n_cqi, n_off) */
+    int64_t n_cqi, n_off, off_lo;
+    const int64_t *mod_lut;         /* (2, n_mcs) */
+    int64_t n_mcs;
+    const int64_t *tb_full, *tb_special; /* (2, n_grants, n_mcs, max_layers) */
+    int64_t n_grants, max_layers;
+    /* Rank adaptation: candidate rank k + 2 needs ewma >= rank_up[k],
+     * or >= rank_keep[k] when the previous rank already reached it. */
+    const double *rank_up, *rank_keep;
+    int64_t n_rank_steps, rank_max;
+    double beta, one_minus_beta;
+    /* OLLA. */
+    int64_t olla_enabled;
+    double olla_up, olla_down, olla_lo, olla_hi;
+    /* HARQ. */
+    int64_t rtt, max_attempts;
+    double retx_scale;
+    /* p_err rows, (2 * n_mcs, window): row k holds slots
+     * [row_lo[k], row_hi[k]) of its (family, mcs). */
+    double *rows;
+    int64_t *row_lo, *row_hi;
+    /* Retransmission FIFO, capacity n_slots (one push per slot at most). */
+    int64_t *q_due, *q_tbs, *q_att;
+    double *q_p;
+    /* Trace columns, written in place. */
+    uint8_t *scheduled, *is_retx, *error;
+    int64_t *n_prb, *n_re, *mcs_index, *modulation_order, *layers;
+    int64_t *tbs_bits, *delivered_bits, *cqi_out, *dci_format;
+    /* Resumable state. */
+    int64_t next_period, q_head, q_tail, rank;
+    double ewma, delta;
+    /* Set on return 1: the p_err row (family * n_mcs + mcs) the caller
+     * must fill from slot need_lo on (and set row_lo/row_hi for). */
+    int64_t need_row, need_lo;
+} repro_session_t;
+
+/* Runs periods from s->next_period on.  Returns 0 when the session is
+ * complete, 1 when the caller must fill p_err row s->need_row first
+ * (s->next_period is then the period to resume at, nothing of it
+ * committed). */
+int64_t repro_session_run(repro_session_t *s)
+{
+    const int64_t n_slots = s->n_slots, period = s->period;
+    const int64_t window = s->window, n_mcs = s->n_mcs;
+    const int64_t max_layers = s->max_layers;
+    const int64_t rtt = s->rtt, max_attempts = s->max_attempts;
+    const double scale = s->retx_scale;
+    const uint8_t *usable = s->usable, *special = s->special;
+    const double *uni = s->uniforms, *rxu = s->retx_uniforms;
+    int64_t *q_due = s->q_due, *q_tbs = s->q_tbs, *q_att = s->q_att;
+    double *q_p = s->q_p;
+    uint8_t *o_sched = s->scheduled, *o_retx = s->is_retx, *o_err = s->error;
+    int64_t *o_prb = s->n_prb, *o_re = s->n_re, *o_mcs = s->mcs_index;
+    int64_t *o_mod = s->modulation_order, *o_lay = s->layers;
+    int64_t *o_tbs = s->tbs_bits, *o_dlv = s->delivered_bits;
+    int64_t *o_cqi = s->cqi_out, *o_dci = s->dci_format;
+    int64_t head = s->q_head, tail = s->q_tail, rank = s->rank;
+    double ewma = s->ewma, delta = s->delta;
+    int64_t rc = 0;
+    int64_t p;
+
+    for (p = s->next_period; p < s->n_periods; p++) {
+        const int64_t start = p * period;
+        const int64_t stop = start + period < n_slots ? start + period : n_slots;
+        const int64_t cqi = s->cqi[p], f = s->fb[p];
+
+        /* CQI -> MCS through the OLLA offset (round half to even). */
+        int64_t offset = s->olla_enabled ? (int64_t)nearbyint(delta) : 0;
+        int64_t mcs = s->mcs_lut[(f * s->n_cqi + cqi) * s->n_off + offset - s->off_lo];
+        int64_t key = f * n_mcs + mcs;
+        const int64_t lo = s->row_lo[key];
+        if (start < lo || stop > s->row_hi[key]) {
+            /* Hand the row back to numpy before committing the period. */
+            s->need_row = key;
+            s->need_lo = start;
+            rc = 1;
+            break;
+        }
+        const double *perr = s->rows + key * window;   /* slot lo first */
+
+        /* Rank: EWMA of the measured SINR, thresholds with hysteresis. */
+        double meas = s->measured[p];
+        ewma = p == 0 ? meas : s->one_minus_beta * ewma + s->beta * meas;
+        int64_t cand = 1;
+        for (int64_t k = 0; k < s->n_rank_steps; k++) {
+            double thr = k + 2 <= rank ? s->rank_keep[k] : s->rank_up[k];
+            if (ewma >= thr)
+                cand = k + 2;
+        }
+        rank = cand < s->rank_max ? cand : s->rank_max;
+        const int64_t lay = rank < max_layers ? rank : max_layers;
+
+        const int64_t t = ((f * s->n_grants + s->grant[p]) * n_mcs + mcs)
+                          * max_layers + lay - 1;
+        const int64_t tf = s->tb_full[t], ts = s->tb_special[t];
+        const int64_t prb = s->prb[p], re = prb * 12;
+        const int64_t mod = s->mod_lut[key], dci = s->dci[p];
+
+        /* Per-slot walk: _scalar_slot. */
+        int64_t acks = 0, nacks = 0;
+        for (int64_t i = start; i < stop; i++) {
+            if (!usable[i])
+                continue;
+            const int sp = special[i];
+            int64_t tbs;
+            uint8_t ok;
+            if (head < tail && q_due[head] <= i && !(sp && q_tbs[head] > ts)) {
+                /* Serve the due retransmission: it displaces new data. */
+                tbs = q_tbs[head];
+                const int64_t att = q_att[head];
+                const double hint = q_p[head];
+                head++;
+                double pr = hint * scale;
+                if (!(pr < 1.0))
+                    pr = 1.0;
+                ok = rxu[i] >= pr;
+                o_retx[i] = 1;
+                if (!ok && att + 1 < max_attempts) {
+                    q_due[tail] = i + rtt;
+                    q_tbs[tail] = tbs;
+                    q_att[tail] = att + 1;
+                    q_p[tail] = hint;
+                    tail++;
+                }
+            } else {
+                tbs = sp ? ts : tf;
+                if (tbs <= 0)
+                    continue;
+                ok = uni[i] >= perr[i - lo];
+                if (ok) {
+                    acks++;
+                } else {
+                    nacks++;
+                    q_due[tail] = i + rtt;
+                    q_tbs[tail] = tbs;
+                    q_att[tail] = 1;
+                    q_p[tail] = perr[i - lo];
+                    tail++;
+                }
+            }
+            o_sched[i] = 1;
+            o_prb[i] = prb;
+            o_re[i] = re;
+            o_mcs[i] = mcs;
+            o_mod[i] = mod;
+            o_lay[i] = lay;
+            o_tbs[i] = tbs;
+            o_cqi[i] = cqi;
+            o_dci[i] = dci;
+            if (ok)
+                o_dlv[i] = tbs;
+            else
+                o_err[i] = 1;
+        }
+
+        /* OLLA: net update over the period's new transmissions. */
+        if (s->olla_enabled) {
+            double d = delta + (double)acks * s->olla_up - (double)nacks * s->olla_down;
+            delta = d < s->olla_lo ? s->olla_lo : d > s->olla_hi ? s->olla_hi : d;
+        }
+    }
+    s->next_period = p;
+    s->q_head = head;
+    s->q_tail = tail;
+    s->rank = rank;
+    s->ewma = ewma;
+    s->delta = delta;
+    return rc;
+}
+
+/* ------------------------------------------------------------------ */
+/* Cohort retransmission kernel                                       */
+/* ------------------------------------------------------------------ */
+
+/* One call advances every dirty column of a single CQI period.  The
  * per-column walk is a transliteration of the per-session vectorized
  * engine's retransmission handling (`_VectorizedEngine.run_period` /
  * `_fallback_slot` in simulator.py): the cursor visits each slot of
@@ -10,28 +232,17 @@
  * committing maximal clean sub-segments bounded by the due head and
  * the first fresh NACK's re-arm point.
  *
- * Byte-identity with the per-session engines is exact because the only
- * floating-point operations are one IEEE double multiply, one clamp
- * and one comparison per event — `min(1.0, p_hint * scale)` compared
- * against the pre-drawn uniform — with no accumulation anywhere.
- *
  * Lane state is the caller's struct-of-arrays (due / tbs / att / p
- * rows per column, strictly increasing due order).  Due slots are
- * unique and monotone in push order (every push is slot + rtt with at
- * most one push per slot), so the sorted lane is exactly the engines'
- * due-slot min-heap: pops advance a head offset, pushes append at the
- * tail, and the row is compacted before returning.  The caller
- * guarantees lane capacity >= pending count + period length (each slot
- * queues at most one block).
+ * rows per column, strictly increasing due order): pops advance a head
+ * offset, pushes append at the tail, and the row is compacted before
+ * returning.  The caller guarantees lane capacity >= pending count +
+ * period length (each slot queues at most one block).
  *
  * Outputs: per-column ack/nack counts over new transmissions, committed
  * sub-segments as (col, lo, hi) triples and served/deferred events as
  * (col, slot, tbs, ok, is_retx) rows, in within-column
  * (chronological) order, for the tensor engine's flush.
  */
-#include <stdint.h>
-#include <string.h>
-
 int64_t repro_retx_period(
     /* batched columns */
     int64_t nb, const int64_t *bidx, int64_t start, int64_t stop,

@@ -23,15 +23,22 @@ from repro.ran import _native
 #: Valid ``SimParams.engine`` values (also re-exported by
 #: :mod:`repro.ran.simulator`).  ``"auto"`` and ``"tensor"`` are *policy*
 #: values resolved by :func:`resolve_engine`; the physical slot engines
-#: are ``"vectorized"``, ``"tensor"`` and ``"reference"``.  Every engine
+#: are ``"native"`` (never requested directly: the policy picks it),
+#: ``"vectorized"``, ``"tensor"`` and ``"reference"``.  Every engine
 #: produces byte-identical traces, so the choice is purely performance.
 ENGINES = ("auto", "vectorized", "tensor", "reference")
 
 #: Smallest cohort for which ``engine="auto"`` selects the cross-session
-#: tensor pass.  Below this the per-column bookkeeping of the tensor
-#: engine costs more than the batching saves and ``"vectorized"`` wins
-#: (measured break-even with the native kernel: V_Sp, 5 s DL sessions).
-TENSOR_MIN_COHORT = 6
+#: tensor pass.  Below this, running each session through the native
+#: whole-session kernel is faster than the tensor engine's per-period
+#: cohort dispatch.  Measured (V_Sp, 5 s sessions, 2-core host, tensor
+#: with arena vs native per session, median of 5 alternating pairs):
+#: DL 0.11x at 2, 0.30x at 6, 0.51x at 16, 0.66x at 25, 0.76x at 64,
+#: 0.83x at 128; UL 0.44x at 11, 0.74x at 25.  The native engine wins
+#: at every width up to the runner's 128-session cohort chunk cap, so
+#: the floor sits just above it: ``auto`` keeps cohorts on the native
+#: engine, and the tensor pass runs when requested explicitly.
+TENSOR_MIN_COHORT = 129
 
 #: Environment override for the engine policy.  When set (to any value
 #: in :data:`ENGINES`) it replaces the *requested* engine before
@@ -46,33 +53,34 @@ def resolve_engine(engine: str, cohort_size: int = 1) -> str:
     """Resolve a requested engine to the physical engine actually run.
 
     Decision table (all cells byte-identical — this is a pure
-    performance policy; see ``docs/architecture.md``).  The tensor
-    engine walks retransmissions only through the native kernel
-    (:func:`repro.ran._native.load_kernel`), so without it every row
-    resolves per-session:
+    performance policy; see ``docs/architecture.md``).  Both fast
+    engines need the native kernel
+    (:func:`repro.ran._native.load_kernel`): ``native`` runs a lone
+    session's whole period loop in it, and the tensor engine walks a
+    cohort's retransmissions in it.  Without it every row resolves to
+    the portable per-session engines:
 
-    ==============  ===========  ====  =======================  ==============
-    requested       kernel       n=1   2 <= n < MIN             n >= MIN
-    ==============  ===========  ====  =======================  ==============
-    ``auto``        loaded       vec   ``vectorized``           ``tensor``
-    ``tensor``      loaded       vec   ``tensor``               ``tensor``
-    ``auto``        not loaded   vec   ``vectorized``           ``vectorized``
-    ``tensor``      not loaded   vec   ``vectorized``           ``vectorized``
-    ``vectorized``  either       vec   ``vectorized``           ``vectorized``
-    ``reference``   either       ref   ``reference``            ``reference``
-    ==============  ===========  ====  =======================  ==============
+    ==============  ===========  ======  =======================  ==============
+    requested       kernel       n=1     2 <= n < MIN             n >= MIN
+    ==============  ===========  ======  =======================  ==============
+    ``auto``        loaded       native  ``native``               ``tensor``
+    ``tensor``      loaded       native  ``tensor``               ``tensor``
+    ``auto``        not loaded   vec     ``vectorized``           ``vectorized``
+    ``tensor``      not loaded   vec     ``vectorized``           ``vectorized``
+    ``vectorized``  either       vec     ``vectorized``           ``vectorized``
+    ``reference``   either       ref     ``reference``            ``reference``
+    ==============  ===========  ======  =======================  ==============
 
     (``n`` is ``cohort_size``, ``MIN`` is :data:`TENSOR_MIN_COHORT`,
-    ``vec``/``ref`` the per-session ``vectorized``/``reference``
-    engines.)  ``tensor`` degrades to ``vectorized`` for a cohort of
-    one because the tensor pass *is* the segment-batched vectorized
-    engine with a sessions axis — a single column has nothing to batch
-    across.
+    ``native``/``vec``/``ref`` the per-session ``native``/``vectorized``/
+    ``reference`` engines.)  ``tensor`` degrades to the per-session
+    engine for a cohort of one — a single column has nothing to batch
+    across.  ``vectorized`` stays the explicit portable Python engine.
 
     The :data:`ENGINE_ENV` environment variable, when set, replaces
     ``engine`` before the table applies (the ``cohort_size`` and kernel
-    rules still hold, so ``REPRO_ENGINE=tensor`` on a lone session or
-    on a machine without the kernel still runs vectorized).
+    rules still hold, so ``REPRO_ENGINE=tensor`` on a lone session runs
+    native, and on a machine without the kernel vectorized).
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
@@ -83,10 +91,10 @@ def resolve_engine(engine: str, cohort_size: int = 1) -> str:
                 f"{ENGINE_ENV} must be one of {ENGINES}, got {override!r}")
         engine = override
     if engine in ("auto", "tensor"):
+        if _native.load_kernel() is None:
+            return "vectorized"
         floor = TENSOR_MIN_COHORT if engine == "auto" else 2
-        if cohort_size >= floor and _native.load_kernel() is not None:
-            return "tensor"
-        return "vectorized"
+        return "tensor" if cohort_size >= floor else "native"
     return engine
 
 

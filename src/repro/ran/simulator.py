@@ -14,29 +14,35 @@ Entry points:
 All functions return :class:`~repro.xcal.records.SlotTrace` objects, the
 XCAL-equivalent artifact the analysis layer consumes.
 
-Three slot engines produce byte-identical traces (``SimParams.engine``):
+Four slot engines produce byte-identical traces:
 
-- ``"vectorized"`` — segment-batched numpy fast path: within each CQI
-  period the slot range is split into maximal contiguous segments with
-  no due HARQ retransmission, and every trace column of a segment is
-  filled with one bulk write; the scalar path runs only inside
-  retransmission windows.
-- ``"tensor"`` — the cross-session cohort pass in
-  :mod:`repro.ran.tensor`: same-shape sessions differing only in seed
-  run as one ``(sessions x slots)`` tensor, with per-column fallback to
-  this module's segment-batched machinery where retx windows diverge.
 - ``"reference"`` — the original per-slot scalar loop, retained as the
   oracle for the equivalence test matrix.
+- ``"native"`` — the whole period loop of one session in a compiled C
+  kernel (:mod:`repro.ran._native`), writing the trace columns in
+  place; only the decode-error rows are evaluated in numpy.  Never
+  requested directly: the policy picks it whenever the kernel loads.
+- ``"vectorized"`` — the portable segment-batched numpy fast path:
+  within each CQI period the slot range is split into maximal
+  contiguous segments with no due HARQ retransmission, and every trace
+  column of a segment is filled with one bulk write; the scalar path
+  runs only inside retransmission windows.
+- ``"tensor"`` — the cross-session cohort pass in
+  :mod:`repro.ran.tensor`: same-shape sessions differing only in seed
+  run as one ``(sessions x slots)`` tensor, with retransmissions walked
+  by the same C library.
 
-The default ``"auto"`` resolves per call site (vectorized for a lone
-session, tensor inside a cohort); see
-:func:`repro.ran.config.resolve_engine`.  All slot-clock randomness is
-pre-drawn before the period loop, so every engine consumes the
-generator identically by construction.
+The default ``"auto"`` resolves per call site (native for a lone
+session when the kernel loads, vectorized otherwise; tensor only for
+cohorts of at least ``TENSOR_MIN_COHORT`` sessions); see
+:func:`repro.ran.config.resolve_engine`.  All
+slot-clock randomness is pre-drawn before the period loop, so every
+engine consumes the generator identically by construction.
 """
 
 from __future__ import annotations
 
+import ctypes
 import heapq
 from dataclasses import dataclass, field, replace
 
@@ -49,6 +55,7 @@ from repro.nr.signal import sinr_to_cqi
 from repro.nr.tbs import cached_tbs_lookup_matrix, transport_block_size
 from repro.nr.tdd import SlotType
 from repro.ran.amc import BlerModel, Olla, RankAdapter
+from repro.ran import _native
 from repro.ran.config import ENGINES, CellConfig, resolve_engine
 from repro.ran.scheduler import Scheduler, SchedulingRequest
 from repro.xcal.records import SlotTrace, TraceMetadata
@@ -101,14 +108,14 @@ class SimParams:
         period.  Keeps allocations "close to the maximum" (Fig. 4)
         while producing the RE-allocation spread of Fig. 3.
     engine:
-        Slot-engine policy: ``"auto"`` (the default — the segment-batched
-        vectorized engine per session, upgraded to the cross-session
-        tensor pass when the session runs inside a same-shape cohort),
-        ``"vectorized"``, ``"tensor"`` (force the cohort tensor pass
-        where a cohort exists and the native retx kernel is loaded) or ``"reference"`` (per-slot scalar loop,
-        the equivalence oracle).  All engines produce byte-identical
-        traces; see :func:`repro.ran.config.resolve_engine` for the
-        decision table.
+        Slot-engine policy: ``"auto"`` (the default — the native
+        whole-session kernel per session when it loads, the portable
+        vectorized engine otherwise), ``"vectorized"`` (force the
+        portable Python engine), ``"tensor"`` (force the cohort tensor
+        pass where a cohort exists and the native kernel is loaded) or
+        ``"reference"`` (per-slot scalar loop, the equivalence oracle).
+        All engines produce byte-identical traces; see
+        :func:`repro.ran.config.resolve_engine` for the decision table.
     """
 
     harq_rtt_slots: int = 8
@@ -141,11 +148,12 @@ class SimParams:
 # Shared retransmission-window semantics
 # ---------------------------------------------------------------------- #
 # Every engine — the scalar reference oracle, the segment-batched
-# vectorized engine, and the cohort tensor engine's native retx kernel —
-# answers the same two questions per pending HARQ block: *can this slot
-# serve it* and *with what error probability*.  Both rules live here so
-# the Python engines cannot re-derive (and silently drift from) the
-# oracle's semantics; ``_retx_kernel.c`` transliterates them op for op.
+# vectorized engine, and the native kernels behind the native and tensor
+# engines — answers the same two questions per pending HARQ block: *can
+# this slot serve it* and *with what error probability*.  Both rules
+# live here so the Python engines cannot re-derive (and silently drift
+# from) the oracle's semantics; ``_retx_kernel.c`` transliterates them
+# op for op.
 
 def retx_fits_slot(is_special, tbs_bits, tbs_special) -> bool:
     """Serve-eligibility of a due retransmission in one slot.
@@ -322,6 +330,94 @@ def prewarm_tbs_matrices(cell: CellConfig, direction: SlotType = SlotType.DL,
     if full_grant > cell.grantable_rb:
         cache.get("primary", cell.grantable_rb)
         cache.get("fallback", cell.grantable_rb)
+
+
+# ---------------------------------------------------------------------- #
+# Dense link-adaptation tables (shared by the native and tensor engines)
+# ---------------------------------------------------------------------- #
+# CQI->MCS through the vendor mapper is a pure function of
+# (fallback?, cqi, olla offset); the offset is bounded by the Olla
+# clamp, so the whole map densifies into one integer LUT per carrier
+# family.  Cached process-wide: every session on a carrier reuses it.
+_MCS_LUT_CACHE: dict = {}
+
+#: Integer OLLA offset bounds (``Olla`` is always constructed with
+#: defaults by the simulation loop; the offset is ``round(delta)`` of a
+#: delta clamped to these bounds).
+_OFF_LO = int(round(Olla().min_offset))
+_OFF_HI = int(round(Olla().max_offset))
+
+
+def _la_luts(cell: CellConfig):
+    """(mcs_lut, eff_lut, mod_lut, n_max) for a carrier.
+
+    ``mcs_lut[fb, cqi, offset - _OFF_LO]`` is the MCS index the mapper
+    returns; ``eff_lut[fb, mcs]`` / ``mod_lut[fb, mcs]`` the entry's
+    spectral efficiency and modulation order.  The family axis is
+    0=primary, 1=DCI 1_0 fallback; the MCS axis pads to the longer
+    table so both families gather through one fancy index — padding is
+    never read, because an MCS index is only ever paired with the
+    family whose mapper produced it.
+    """
+    key = (cell.max_modulation, cell.mapping_policy, cell.band_name)
+    cached = _MCS_LUT_CACHE.get(key)
+    if cached is not None:
+        return cached
+    mappers = _mappers(cell)
+    n_off = _OFF_HI - _OFF_LO + 1
+    n_max = max(len(m.mcs_table) for m in mappers)
+    mcs_lut = np.zeros((2, CQI_MAX + 1, n_off), dtype=np.int64)
+    eff_lut = np.zeros((2, n_max))
+    mod_lut = np.zeros((2, n_max), dtype=np.int64)
+    for fb, mapper in enumerate(mappers):
+        table = mapper.mcs_table
+        for cqi in range(CQI_MAX + 1):
+            for j, offset in enumerate(range(_OFF_LO, _OFF_HI + 1)):
+                mcs_lut[fb, cqi, j] = mapper.mcs_for_cqi(cqi, olla_offset=offset)
+        for m, entry in enumerate(table):
+            eff_lut[fb, m] = entry.spectral_efficiency
+            mod_lut[fb, m] = entry.modulation.bits_per_symbol
+    cached = (mcs_lut, eff_lut, mod_lut, n_max)
+    _MCS_LUT_CACHE[key] = cached
+    return cached
+
+
+def _stacked_tbs(tbs_cache: _TbsCache, grants, families, n_mcs: int,
+                 max_layers: int) -> tuple[np.ndarray, np.ndarray]:
+    """(tb_full, tb_special) TBS tensors ``[family, grant, mcs, layers - 1]``.
+
+    Stacks the lookup matrices of every grant size in ``grants`` for the
+    MCS families in ``families`` (0=primary, 1=fallback), padded on the
+    family and MCS axes like :func:`_la_luts`: the per-period TBS pair
+    is then one gather instead of per-period dict probes.  Entries of a
+    family not listed stay zero and are never read.
+    """
+    tb_full = np.zeros((2, len(grants), n_mcs, max_layers), dtype=np.int64)
+    tb_special = np.zeros_like(tb_full)
+    for fb in families:
+        which = "fallback" if fb else "primary"
+        for g, grant in enumerate(grants):
+            full, special = tbs_cache.get(which, int(grant))
+            tb_full[fb, g, :full.shape[0]] = full
+            tb_special[fb, g, :special.shape[0]] = special
+    return tb_full, tb_special
+
+
+def _rank_steps(rank_adapter: RankAdapter) -> list[tuple[int, float, float]]:
+    """``(candidate, eff_up, eff_keep)`` per reachable rank above 1.
+
+    The thresholds :meth:`RankAdapter.rank_for_sinr` compares against,
+    computed by the same float ops: ``eff_up`` to climb to
+    ``candidate``, ``eff_keep`` (hysteresis applied) to stay there.
+    """
+    steps = []
+    for k, threshold in enumerate(rank_adapter.thresholds_db):
+        candidate = k + 2
+        if candidate > rank_adapter.max_layers:
+            break
+        eff_up = threshold + rank_adapter.bias_db
+        steps.append((candidate, eff_up, eff_up - rank_adapter.hysteresis_db))
+    return steps
 
 
 class _Period:
@@ -681,6 +777,27 @@ _SLOT_ENGINES = {
 }
 
 
+@dataclass(frozen=True)
+class _SessionInputs:
+    """Everything a slot engine consumes for one session: the carrier
+    and parameters, the slot masks, the pre-drawn slot-clock randomness
+    and the hoisted per-period measurement chain (measured SINR, CQI and
+    grant size per CQI period, sustainable efficiency per slot)."""
+
+    cell: CellConfig
+    params: SimParams
+    direction: SlotType
+    max_layers: int
+    usable: np.ndarray
+    special: np.ndarray
+    uniforms: np.ndarray
+    retx_uniforms: np.ndarray
+    measured: np.ndarray
+    cqi: np.ndarray
+    prb: np.ndarray
+    eff_cap: np.ndarray
+
+
 def _simulate_direction(
     cell: CellConfig,
     channel: ChannelRealization,
@@ -705,14 +822,6 @@ def _simulate_direction(
     full_sym, special_sym = _usable_symbols(cell, direction)
     if special_sym == 0:
         usable &= slot_types != SLOT_SPECIAL
-
-    primary_mapper, fallback_mapper = _mappers(cell)
-    tbs_cache = _TbsCache(cell, max_layers, direction)
-
-    olla = Olla()
-    rank_adapter = params.rank_adapter
-    current_rank = 1
-    rank_sinr_ewma: float | None = None
     period = cell.cqi_period_slots
 
     # Pre-draw all randomness used on the slot clock.
@@ -726,24 +835,10 @@ def _simulate_direction(
     )
 
     sinr = channel.sinr_db
-    queue = _RetxQueue()
-    special_mask = slot_types == SLOT_SPECIAL
-    # A lone session has no cohort: "auto"/"tensor" resolve to the
-    # segment-batched vectorized engine (byte-identical by contract).
-    engine = _SLOT_ENGINES[resolve_engine(params.engine, 1)](n_slots, usable, special_mask)
-
-    pd = _Period()
-    pd.params = params
-    pd.retx_uniforms = retx_uniforms
-    # Full-trace masks, indexed absolutely by the scalar paths; only
-    # decoded_new/p_err are period-relative views.
-    pd.usable = usable
-    pd.special = special_mask
-
     # Hoist the per-period measurement chain out of the loop: measured
     # SINR and CQI depend only on the channel and the pre-drawn noise,
     # and the channel's sustainable efficiency depends only on the SINR
-    # series — none feed back from slot outcomes.  Both engines share
+    # series — none feed back from slot outcomes.  Every engine shares
     # these arrays, so they cannot diverge here.
     n_periods = -(-n_slots // period)
     starts = np.arange(n_periods) * period
@@ -752,7 +847,6 @@ def _simulate_direction(
         sinr_to_cqi(measured_all, cell.cqi_table, alpha=params.cqi_alpha), CQI_MAX
     )
     eff_cap = params.bler.capacity(sinr)
-    is_qam256 = cell.max_modulation is Modulation.QAM256
     # Grant sizes depend only on the pre-drawn background series; the
     # whole quantization chain runs once (np.rint ties-to-even matches
     # the scalar round() it replaces).
@@ -761,9 +855,56 @@ def _simulate_direction(
         _RB_QUANTUM,
         (_RB_QUANTUM * np.rint(prb_scaled / _RB_QUANTUM)).astype(np.int64),
     )
-    period_prb_all = np.minimum(prb_quant, n_prb).tolist()
-    measured_list = measured_all.tolist()
-    cqi_list = cqi_all.tolist()
+    session = _SessionInputs(
+        cell=cell, params=params, direction=direction, max_layers=max_layers,
+        usable=usable, special=slot_types == SLOT_SPECIAL,
+        uniforms=uniforms, retx_uniforms=retx_uniforms,
+        measured=measured_all, cqi=cqi_all,
+        prb=np.minimum(prb_quant, n_prb), eff_cap=eff_cap,
+    )
+    # A lone session has no cohort: "auto"/"tensor" resolve to the
+    # native whole-session kernel when it loads, else to the portable
+    # segment-batched vectorized engine (byte-identical by contract).
+    engine = resolve_engine(params.engine, 1)
+    if engine == "native":
+        _run_native(_native.load_kernel(), trace, session)
+    else:
+        _run_periods(_SLOT_ENGINES[engine], trace, session)
+    # Unscheduled slots still carry the CQI context for analysis: forward-fill.
+    _forward_fill_cqi(trace)
+    return trace
+
+
+def _run_periods(engine_cls, trace: SlotTrace, s: _SessionInputs) -> None:
+    """The Python period loop of the ``reference``/``vectorized`` engines:
+    link adaptation per CQI period, slots through ``engine_cls``."""
+    cell, params, max_layers = s.cell, s.params, s.max_layers
+    n_slots = len(trace)
+    primary_mapper, fallback_mapper = _mappers(cell)
+    tbs_cache = _TbsCache(cell, max_layers, s.direction)
+    engine = engine_cls(n_slots, s.usable, s.special)
+    queue = _RetxQueue()
+
+    olla = Olla()
+    rank_adapter = params.rank_adapter
+    current_rank = 1
+    rank_sinr_ewma: float | None = None
+    period = cell.cqi_period_slots
+
+    pd = _Period()
+    pd.params = params
+    pd.retx_uniforms = s.retx_uniforms
+    # Full-trace masks, indexed absolutely by the scalar paths; only
+    # decoded_new/p_err are period-relative views.
+    pd.usable = s.usable
+    pd.special = s.special
+
+    uniforms = s.uniforms
+    eff_cap = s.eff_cap
+    is_qam256 = cell.max_modulation is Modulation.QAM256
+    period_prb_all = s.prb.tolist()
+    measured_list = s.measured.tolist()
+    cqi_list = s.cqi.tolist()
     # The loop resolves the same handful of link-adaptation keys every
     # few periods — memoize the CQI→MCS mapping, the MCS-entry constants
     # and the TBS pair lookups.
@@ -784,7 +925,7 @@ def _simulate_direction(
     olla_up, olla_down = olla.step_up, olla.step_down
     olla_lo, olla_hi = olla.min_offset, olla.max_offset
 
-    for p in range(n_periods):
+    for p in range(len(cqi_list)):
         start = p * period
         stop = min(n_slots, start + period)
 
@@ -848,9 +989,112 @@ def _simulate_direction(
             olla.delta = olla_lo if delta < olla_lo else olla_hi if delta > olla_hi else delta
 
     engine.flush(trace)
-    # Unscheduled slots still carry the CQI context for analysis: forward-fill.
-    _forward_fill_cqi(trace)
-    return trace
+
+
+#: CQI periods per decode-error row of the native engine.  The kernel
+#: holds one ``p_err`` row per (MCS family, MCS index); a period whose
+#: row does not cover it sends the kernel back to numpy, which fills
+#: the row for this many periods from that period on.  Longer windows
+#: mean fewer round trips but more slots evaluated at an MCS no period
+#: there decodes with (paper_quick, 2-core host: 32 periods 0.31 round
+#: trips per period, 256 periods 0.06).
+NATIVE_ROW_WINDOW_PERIODS = 256
+
+
+def _addr(a: np.ndarray, dtype) -> int:
+    """Data pointer of a C-contiguous array of ``dtype`` (checked: the
+    native kernel indexes it as a flat buffer of that type)."""
+    if a.dtype != dtype or not a.flags.c_contiguous:
+        raise ValueError(f"native kernel needs a C-contiguous {np.dtype(dtype)} "
+                         f"array, got {a.dtype} (contiguous={a.flags.c_contiguous})")
+    return a.ctypes.data
+
+
+def _run_native(kernel: "_native.NativeKernel", trace: SlotTrace,
+                s: _SessionInputs) -> None:
+    """The ``native`` engine: the whole period loop in one C entry point.
+
+    The kernel transliterates :func:`_run_periods` with
+    :func:`_scalar_slot` semantics and writes the trace columns in
+    place.  Decode-error probabilities stay in numpy: the kernel stops
+    at a period boundary, before committing anything of the period,
+    whenever the period's (family, MCS) row does not cover it, and this
+    loop fills the row for :data:`NATIVE_ROW_WINDOW_PERIODS` periods by
+    the same in-place ufunc sequence :func:`_run_periods` runs on one
+    period's slice (numpy's elementwise results do not depend on the
+    slice bounds).  The only Python between kernel calls is that fill.
+    """
+    cell, params, max_layers = s.cell, s.params, s.max_layers
+    n_slots = len(trace)
+    period = cell.cqi_period_slots
+    mcs_lut, eff_lut, mod_lut, n_mcs = _la_luts(cell)
+    is_qam256 = cell.max_modulation is Modulation.QAM256
+    fb = ((s.cqi <= params.dci_fallback_cqi) & is_qam256).astype(np.int64)
+    dci = 1 - fb if is_qam256 else np.zeros_like(fb)
+    grants, grant_idx = np.unique(s.prb, return_inverse=True)
+    grant_idx = grant_idx.astype(np.int64, copy=False)
+    tb_full, tb_special = _stacked_tbs(
+        _TbsCache(cell, max_layers, s.direction), grants.tolist(),
+        np.unique(fb).tolist(), n_mcs, max_layers)
+    steps = _rank_steps(params.rank_adapter)
+    rank_up = np.array([up for _, up, _ in steps])
+    rank_keep = np.array([keep for _, _, keep in steps])
+
+    window = NATIVE_ROW_WINDOW_PERIODS * period
+    rows = np.empty((2 * n_mcs, window))
+    row_lo = np.zeros(2 * n_mcs, dtype=np.int64)
+    row_hi = np.zeros(2 * n_mcs, dtype=np.int64)
+    # Retransmission FIFO: at most one push per slot, so n_slots entries
+    # always suffice (untouched pages of np.empty are never committed).
+    q_due, q_tbs, q_att = (np.empty(n_slots, dtype=np.int64) for _ in range(3))
+    q_p = np.empty(n_slots)
+    olla = Olla()
+    i64, f64, b1 = np.int64, np.float64, np.bool_
+    args = _native.SessionArgs(
+        n_slots=n_slots, period=period, n_periods=s.cqi.size, window=window,
+        usable=_addr(s.usable, b1), special=_addr(s.special, b1),
+        uniforms=_addr(s.uniforms, f64),
+        retx_uniforms=_addr(s.retx_uniforms, f64),
+        measured=_addr(s.measured, f64), cqi=_addr(s.cqi, i64),
+        fb=_addr(fb, i64), dci=_addr(dci, i64), prb=_addr(s.prb, i64),
+        grant=_addr(grant_idx, i64),
+        mcs_lut=_addr(mcs_lut, i64), n_cqi=mcs_lut.shape[1],
+        n_off=mcs_lut.shape[2], off_lo=_OFF_LO,
+        mod_lut=_addr(mod_lut, i64), n_mcs=n_mcs,
+        tb_full=_addr(tb_full, i64), tb_special=_addr(tb_special, i64),
+        n_grants=len(grants), max_layers=max_layers,
+        rank_up=_addr(rank_up, f64), rank_keep=_addr(rank_keep, f64),
+        n_rank_steps=len(steps), rank_max=params.rank_adapter.max_layers,
+        beta=params.rank_ewma_beta, one_minus_beta=1.0 - params.rank_ewma_beta,
+        olla_enabled=int(params.olla_enabled),
+        olla_up=olla.step_up, olla_down=olla.step_down,
+        olla_lo=olla.min_offset, olla_hi=olla.max_offset,
+        rtt=params.harq_rtt_slots, max_attempts=params.max_attempts,
+        retx_scale=params.retx_error_scale,
+        rows=_addr(rows, f64), row_lo=_addr(row_lo, i64),
+        row_hi=_addr(row_hi, i64),
+        q_due=_addr(q_due, i64), q_tbs=_addr(q_tbs, i64),
+        q_att=_addr(q_att, i64), q_p=_addr(q_p, f64),
+        scheduled=_addr(trace.scheduled, b1), is_retx=_addr(trace.is_retx, b1),
+        error=_addr(trace.error, b1), n_prb=_addr(trace.n_prb, i64),
+        n_re=_addr(trace.n_re, i64), mcs_index=_addr(trace.mcs_index, i64),
+        modulation_order=_addr(trace.modulation_order, i64),
+        layers=_addr(trace.layers, i64), tbs_bits=_addr(trace.tbs_bits, i64),
+        delivered_bits=_addr(trace.delivered_bits, i64),
+        cqi_out=_addr(trace.cqi, i64), dci_format=_addr(trace.dci_format, i64),
+        next_period=0, q_head=0, q_tail=0, rank=1, ewma=0.0, delta=olla.delta,
+    )
+    run = kernel.session_run
+    ref = ctypes.byref(args)
+    eff_rows = eff_lut.reshape(-1)
+    fill = params.bler.error_probability_given_capacity
+    eff_cap = s.eff_cap
+    while run(ref):
+        key, lo = args.need_row, args.need_lo
+        hi = min(lo + window, n_slots)
+        fill(eff_rows[key], eff_cap[lo:hi], out=rows[key, :hi - lo])
+        row_lo[key] = lo
+        row_hi[key] = hi
 
 
 def _forward_fill_cqi(trace: SlotTrace) -> None:
@@ -1216,6 +1460,9 @@ def _multi_vectorized(
 _MULTI_ENGINES = {
     "reference": _multi_reference,
     "vectorized": _multi_vectorized,
+    # The native kernel covers lone single-UE sessions only; multi-UE
+    # runs take the batched Python loop.
+    "native": _multi_vectorized,
 }
 
 

@@ -75,8 +75,9 @@ from repro.nr.tdd import SlotType
 from repro.ran.amc import Olla
 from repro.ran.config import CellConfig
 from repro.ran.simulator import (BACKGROUND_TRIM_MAX, SLOT_DL, SLOT_SPECIAL,
-                                 SLOT_UL, SimParams, _mappers, _RB_QUANTUM,
-                                 _slot_types, _TbsCache, _usable_symbols,
+                                 SLOT_UL, SimParams, _la_luts, _OFF_LO,
+                                 _RB_QUANTUM, _rank_steps, _slot_types,
+                                 _stacked_tbs, _TbsCache, _usable_symbols,
                                  _forward_fill_cqi, replace)
 from repro.xcal.arena import CohortArena
 from repro.xcal.records import SlotTrace, TraceMetadata
@@ -153,56 +154,6 @@ def render_cohort_stats() -> str:
             f"dirty={dirty}/{cells} ({dirty_pct:.1f}%) "
             f"kernel={kernel} "
             f"slots_per_s={rate:,.0f}")
-
-
-# ---------------------------------------------------------------------- #
-# Dense link-adaptation lookup tables
-# ---------------------------------------------------------------------- #
-# CQI->MCS through the vendor mapper is a pure function of
-# (fallback?, cqi, olla offset); the offset is bounded by the Olla
-# clamp, so the whole map densifies into one integer LUT per carrier
-# family.  Cached process-wide: every cohort on a carrier reuses it.
-_MCS_LUT_CACHE: dict = {}
-
-#: Integer OLLA offset bounds (``Olla`` is always constructed with
-#: defaults by the simulation loop; the offset is ``round(delta)`` of a
-#: delta clamped to these bounds).
-_OFF_LO = int(round(Olla().min_offset))
-_OFF_HI = int(round(Olla().max_offset))
-
-
-def _la_luts(cell: CellConfig):
-    """(mcs_lut, eff_lut, mod_lut, n_max) for a carrier.
-
-    ``mcs_lut[fb, cqi, offset - _OFF_LO]`` is the MCS index the mapper
-    returns; ``eff_lut[fb, mcs]`` / ``mod_lut[fb, mcs]`` the entry's
-    spectral efficiency and modulation order.  The family axis is
-    0=primary, 1=DCI 1_0 fallback; the MCS axis pads to the longer
-    table so both families gather through one fancy index — padding is
-    never read, because an MCS index is only ever paired with the
-    family whose mapper produced it.
-    """
-    key = (cell.max_modulation, cell.mapping_policy, cell.band_name)
-    cached = _MCS_LUT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    mappers = _mappers(cell)
-    n_off = _OFF_HI - _OFF_LO + 1
-    n_max = max(len(m.mcs_table) for m in mappers)
-    mcs_lut = np.zeros((2, CQI_MAX + 1, n_off), dtype=np.int64)
-    eff_lut = np.zeros((2, n_max))
-    mod_lut = np.zeros((2, n_max), dtype=np.int64)
-    for fb, mapper in enumerate(mappers):
-        table = mapper.mcs_table
-        for cqi in range(CQI_MAX + 1):
-            for j, offset in enumerate(range(_OFF_LO, _OFF_HI + 1)):
-                mcs_lut[fb, cqi, j] = mapper.mcs_for_cqi(cqi, olla_offset=offset)
-        for m, entry in enumerate(table):
-            eff_lut[fb, m] = entry.spectral_efficiency
-            mod_lut[fb, m] = entry.modulation.bits_per_symbol
-    cached = (mcs_lut, eff_lut, mod_lut, n_max)
-    _MCS_LUT_CACHE[key] = cached
-    return cached
 
 
 # ---------------------------------------------------------------------- #
@@ -404,8 +355,9 @@ def _simulate_direction_cohort(
     arena_factory=None,
 ) -> Iterator[SlotTrace]:
     """Cohort counterpart of ``_simulate_direction`` (lazy, one trace
-    yielded per column in cohort order); ``kernel`` is the loaded retx
-    kernel that walks the dirty cells.
+    yielded per column in cohort order); ``kernel`` is the loaded
+    :class:`~repro.ran._native.NativeKernel`, whose ``retx_period``
+    entry point walks the dirty cells.
 
     ``arena_factory(n_cols, n_slots, mu)`` — when given — supplies a
     :class:`~repro.xcal.arena.CohortArena` the whole flush writes into
@@ -493,19 +445,13 @@ def _simulate_direction_cohort(
     # --- link-adaptation lookup structures ------------------------------
     is_qam256 = cell.max_modulation is Modulation.QAM256
     mcs_lut, eff_lut, mod_lut, n_max_mcs = _la_luts(cell)
-    # Stack the TBS lookup matrices of every grant size the cohort uses,
-    # padded on the family axis like the MCS tables: per period the
-    # (tbs_full, tbs_special) pair is then one fancy gather over
-    # (family, grant, mcs, layers) instead of per-column dict probes.
+    # Stack the TBS lookup matrices of every grant size the cohort uses:
+    # per period the (tbs_full, tbs_special) pair is then one fancy
+    # gather over (family, grant, mcs, layers) instead of per-column
+    # dict probes.
     distinct_prb = np.unique(prb2)
-    tb_full = np.zeros((2, distinct_prb.size, n_max_mcs, max_layers),
-                       dtype=np.int64)
-    tb_special = np.zeros_like(tb_full)
-    for fbi, family in enumerate(("primary", "fallback")):
-        for g, grant in enumerate(distinct_prb.tolist()):
-            full, special = tbs_cache.get(family, int(grant))
-            tb_full[fbi, g, :full.shape[0]] = full
-            tb_special[fbi, g, :special.shape[0]] = special
+    tb_full, tb_special = _stacked_tbs(tbs_cache, distinct_prb.tolist(), (0, 1),
+                                       n_max_mcs, max_layers)
     prb_idx2 = np.searchsorted(distinct_prb, prb2)
 
     # --- shared per-slot structures --------------------------------------
@@ -534,7 +480,7 @@ def _simulate_direction_cohort(
 
     decoded2 = np.empty((n_cols, n_slots), dtype=bool)
     p_err2 = np.empty((n_cols, period))
-    lanes = _CohortRetxLanes(kernel, usable, special_mask, cum4, rtt,
+    lanes = _CohortRetxLanes(kernel.retx_period, usable, special_mask, cum4, rtt,
                              params.retx_error_scale, params.max_attempts,
                              retx2, decoded2, p_err2)
     notdec = np.empty((n_cols, period), dtype=bool)
@@ -568,14 +514,7 @@ def _simulate_direction_cohort(
     one_minus_beta = 1.0 - beta
     # RankAdapter threshold scalars, precomputed exactly as the scalar
     # chain computes them per report.
-    rank_steps = []
-    for k, threshold in enumerate(rank_adapter.thresholds_db):
-        candidate = k + 2
-        if candidate > adapter_max:
-            break
-        eff_up = threshold + rank_adapter.bias_db
-        rank_steps.append((candidate, eff_up,
-                           eff_up - rank_adapter.hysteresis_db))
+    rank_steps = _rank_steps(rank_adapter)
     layers_capped = adapter_max > max_layers
 
     dirty_cells = 0

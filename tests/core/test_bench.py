@@ -62,6 +62,63 @@ class TestRegressionGate:
             bench.regression_failures(_report(), _report(), threshold=1.5)
 
 
+def _native_report(native=2_400_000.0) -> dict:
+    report = _report()
+    report["workloads"]["single_ue"]["native"] = {
+        "cold_slots_per_s": native / 2, "warm_slots_per_s": native}
+    return report
+
+
+class TestNativeRowGate:
+    def test_identical_reports_pass(self):
+        report = _native_report()
+        assert bench.regression_failures(report, report) == []
+
+    def test_native_only_slowdown_fails(self):
+        base = _native_report()
+        current = copy.deepcopy(base)
+        current["workloads"]["single_ue"]["native"]["warm_slots_per_s"] /= 2.0
+        failures = bench.regression_failures(current, base)
+        assert len(failures) == 1
+        assert failures[0].startswith("single_ue: native ")
+
+    def test_uniform_slowdown_is_hardware_normalized_away(self):
+        base = _native_report()
+        current = copy.deepcopy(base)
+        for data in current["workloads"].values():
+            for row in data.values():
+                if isinstance(row, dict):
+                    row["warm_slots_per_s"] /= 2.0
+        assert bench.regression_failures(current, base) == []
+
+    def test_skipped_native_row_fails_with_reason(self):
+        base = _native_report()
+        current = copy.deepcopy(base)
+        current["workloads"]["single_ue"]["native"] = {
+            "skipped": "native kernel not loaded: disabled via REPRO_NATIVE"}
+        failures = bench.regression_failures(current, base)
+        assert failures == ["single_ue: native not measured (native kernel "
+                            "not loaded: disabled via REPRO_NATIVE)"]
+
+    def test_baseline_without_native_row_gates_vectorized_only(self):
+        assert bench.regression_failures(_native_report(), _report()) == []
+
+    def test_render_shows_native_row_or_skip_reason(self):
+        report = _native_report()
+        report["config"] = {"profile": "V_Sp", "repetitions": 3}
+        assert "native      cold" in bench.render(report)
+        report["workloads"]["single_ue"]["native"] = {"skipped": "no cc"}
+        assert "native      skipped (no cc)" in bench.render(report)
+
+    def test_skip_reason_names_kernel_status(self, monkeypatch):
+        from repro.ran import _native
+
+        monkeypatch.setattr(_native, "load_kernel", lambda: None)
+        monkeypatch.setitem(_native._state, "error", "no C compiler on PATH")
+        assert bench._native_skip_reason() == (
+            "native kernel not loaded: no C compiler on PATH")
+
+
 def _campaign_report(jobs1_cold=50.0, jobs1_warm=400.0, pipe=90.0,
                      routed_cold=150.0, routed_warm=420.0,
                      shm_cold=65.0, cpu_count=4) -> dict:

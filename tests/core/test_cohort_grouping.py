@@ -104,16 +104,26 @@ class TestCampaignByteIdentity:
         finally:
             del os.environ["REPRO_ENGINE"]
 
+    # The cohort side pins REPRO_ENGINE=tensor: ``auto`` keeps cohorts
+    # of these widths on the native per-session engine, and this matrix
+    # is about the cohort tensor pass through the runner.
     @pytest.mark.parametrize("cohort_size", [1, 2, 7, 64])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_matches_per_session(self, per_session_baseline, monkeypatch,
                                  cohort_size: int, jobs: int):
         monkeypatch.setattr(runner_mod, "_COHORT_MIN_CHUNK", cohort_size)
         monkeypatch.setattr(runner_mod, "_COHORT_MAX_CHUNK", cohort_size)
+        monkeypatch.setenv("REPRO_ENGINE", "tensor")
         got = _bytes_list(run_tasks(_campaign(), jobs=jobs))
         assert got == per_session_baseline
 
     def test_matches_per_session_jobs_auto(self, per_session_baseline):
+        got = _bytes_list(run_tasks(_campaign(), jobs="auto"))
+        assert got == per_session_baseline
+
+    def test_tensor_matches_per_session_jobs_auto(self, per_session_baseline,
+                                                  monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "tensor")
         got = _bytes_list(run_tasks(_campaign(), jobs="auto"))
         assert got == per_session_baseline
 
@@ -125,7 +135,7 @@ class TestCampaignByteIdentity:
         manifest = _campaign()
         monkeypatch.setenv("REPRO_ENGINE", "vectorized")
         exact = run_tasks(manifest, jobs=1, reduce=campaign_reduction())
-        monkeypatch.delenv("REPRO_ENGINE")
+        monkeypatch.setenv("REPRO_ENGINE", "tensor")
         cohort = run_tasks(manifest, jobs=1, reduce=campaign_reduction())
         assert npz_bytes(*cohort.to_arrays()) == npz_bytes(*exact.to_arrays())
 

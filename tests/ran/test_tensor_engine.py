@@ -337,10 +337,10 @@ class TestEnginePolicy:
 
     def test_decision_table(self, kernel):
         below = TENSOR_MIN_COHORT - 1
-        assert resolve_engine("auto", 1) == "vectorized"
-        assert resolve_engine("auto", below) == "vectorized"
+        assert resolve_engine("auto", 1) == "native"
+        assert resolve_engine("auto", below) == "native"
         assert resolve_engine("auto", TENSOR_MIN_COHORT) == "tensor"
-        assert resolve_engine("tensor", 1) == "vectorized"
+        assert resolve_engine("tensor", 1) == "native"
         assert resolve_engine("tensor", 2) == "tensor"
         assert resolve_engine("tensor", 32) == "tensor"
         assert resolve_engine("vectorized", 32) == "vectorized"
@@ -363,7 +363,7 @@ class TestEnginePolicy:
         assert resolve_engine("tensor", 64) == "vectorized"
         monkeypatch.setenv("REPRO_ENGINE", "tensor")
         # The cohort-of-one degrade still applies to the override.
-        assert resolve_engine("vectorized", 1) == "vectorized"
+        assert resolve_engine("vectorized", 1) == "native"
         assert resolve_engine("vectorized", 8) == "tensor"
         monkeypatch.setenv("REPRO_ENGINE", "warp")
         with pytest.raises(ValueError):
