@@ -92,6 +92,14 @@ class McsTable:
         return np.array([e.spectral_efficiency for e in self.entries])
 
     @cached_property
+    def content_key(self) -> tuple:
+        """Hashable content of the table, built once: equal tables share
+        it, so content-keyed caches (the TBS matrix cache) treat them as
+        one table."""
+        return tuple((e.index, e.modulation.bits_per_symbol, e.code_rate)
+                     for e in self.entries)
+
+    @cached_property
     def max_index(self) -> int:
         return len(self.entries) - 1
 

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from repro.nr.mcs import McsEntry
+from repro.nr.mcs import McsEntry, McsTable
 
 #: TS 38.214 Table 5.1.3.2-1 — TBS values for N_info <= 3824 bits.
 TBS_TABLE_5_1_3_2_1 = (
@@ -155,15 +155,8 @@ _matrix_hits = 0
 _matrix_misses = 0
 
 
-def _table_signature(mcs_table) -> tuple:
-    return tuple(
-        (entry.index, entry.modulation.bits_per_symbol, entry.code_rate)
-        for entry in mcs_table
-    )
-
-
 def cached_tbs_lookup_matrix(
-    mcs_table,
+    mcs_table: McsTable,
     n_prb: int,
     max_layers: int = 4,
     symbols: int = 14,
@@ -176,7 +169,7 @@ def cached_tbs_lookup_matrix(
     :func:`tbs_matrix_cache_stats` (``repro cache stats`` prints them).
     """
     global _matrix_hits, _matrix_misses
-    key = (_table_signature(mcs_table), n_prb, max_layers, symbols, dmrs_re_per_prb)
+    key = (mcs_table.content_key, n_prb, max_layers, symbols, dmrs_re_per_prb)
     matrix = _MATRIX_CACHE.get(key)
     if matrix is None:
         _matrix_misses += 1

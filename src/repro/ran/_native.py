@@ -9,13 +9,14 @@ The library has two entry points, bundled as a :class:`NativeKernel`:
 
 - ``session_run`` — the whole period loop of one lone session (the
   ``"native"`` engine of :mod:`repro.ran.simulator`), driven through a
-  :class:`SessionArgs` struct.  It returns to Python only when it needs
-  a decode-error row that numpy must evaluate.
+  :class:`SessionArgs` struct.  It evaluates decode-error
+  probabilities itself and returns to Python only when a decision on
+  one is too close to call, for numpy to fill that one period exactly.
 - ``retx_period`` — the cohort tensor engine's retransmission walk over
-  one CQI period's dirty columns.
+  one CQI period's dirty columns, on decode-error rows numpy evaluated.
 
-Both transliterate the Python engines with byte-identical IEEE
-semantics (see the header comment of ``_retx_kernel.c``).
+Both produce byte-identical traces to the Python engines (see the
+header comment of ``_retx_kernel.c``).
 
 The kernel is optional for the package: no compiler, a failed build, a
 failed load or ``REPRO_NATIVE=0`` leave :func:`load_kernel` returning
@@ -74,7 +75,7 @@ class SessionArgs(ctypes.Structure):
     _fields_ = [
         (name, kind)
         for names, kind in (
-            ("n_slots period n_periods window", _i64),
+            ("n_slots period n_periods", _i64),
             ("usable special uniforms retx_uniforms measured "
              "cqi fb dci prb grant mcs_lut", _ptr),
             ("n_cqi n_off off_lo", _i64),
@@ -89,13 +90,15 @@ class SessionArgs(ctypes.Structure):
             ("olla_up olla_down olla_lo olla_hi", _f64),
             ("rtt max_attempts", _i64),
             ("retx_scale", _f64),
-            ("rows row_lo row_hi q_due q_tbs q_att q_p "
+            ("eff_lut eff_cap", _ptr),
+            ("bias slope guard_rel guard_abs", _f64),
+            ("exact have q_due q_tbs q_att q_src q_p "
              "scheduled is_retx error n_prb n_re mcs_index "
              "modulation_order layers tbs_bits delivered_bits "
              "cqi_out dci_format", _ptr),
             ("next_period q_head q_tail rank", _i64),
             ("ewma delta", _f64),
-            ("need_row need_lo", _i64),
+            ("need_period need_key", _i64),
         )
         for name in names.split()
     ]

@@ -7,22 +7,29 @@
  * the SlotTrace columns in place.
  *
  * repro_retx_period — the cohort tensor engine's retransmission walk:
- * one call advances every dirty column of a single CQI period.
+ * one call advances every dirty column of a single CQI period.  It
+ * still takes numpy-evaluated decode-error rows from its caller.
  *
  * Byte-identity with the Python engines rests on three rules:
  *
- * - No transcendental function is evaluated here.  Decode-error
- *   probabilities come from numpy (its SIMD exp differs from libm's in
- *   the last bit on some inputs): the session kernel returns to the
- *   caller at a period boundary whenever it needs a p_err row it does
- *   not hold yet, before committing anything of that period, and the
- *   caller fills the row with the same in-place ufunc sequence the
- *   per-session engines run on each period slice.
+ * - Decode-error probabilities only ever decide a comparison, and every
+ *   such decision is certified.  The trace carries no probability:
+ *   p_err feeds `uniform >= p` for a new transmission and
+ *   `retx_uniform >= min(1, hint * scale)` for a retransmission.  The
+ *   session kernel evaluates p with libm exp (p_err_libm, the only
+ *   transcendental call here), whose last bit may differ from numpy's
+ *   SIMD exp on some inputs, so a decision is taken only when the
+ *   uniform lies outside P_ERR_GUARD_REL * p + P_ERR_GUARD_ABS of p
+ *   (simulator.py; the measured gap is ~5e-16 relative, far inside).
+ *   Otherwise the kernel un-commits the period and returns; the caller
+ *   fills that period's exact numpy values and resumes, and periods so
+ *   filled decide on the exact values with no guard.
  * - Every floating-point expression transliterates the Python one in
  *   evaluation order — (1-b)*ewma + b*meas, delta + acks*up -
- *   nacks*down with its clamp, min(1, p*scale) — and the library is
- *   built with -ffp-contract=off so no multiply-add is fused.
- *   nearbyint() rounds half to even, exactly like Python's round().
+ *   nacks*down with its clamp, min(1, p*scale), the in-place logistic
+ *   argument of BlerModel — and the library is built with
+ *   -ffp-contract=off so no multiply-add is fused.  nearbyint() rounds
+ *   half to even, exactly like Python's round().
  * - Due slots of pending retransmissions are strictly increasing in
  *   push order (every push is slot + rtt with at most one push per
  *   slot), so the engines' due-slot min-heap is a plain FIFO lane.
@@ -39,7 +46,6 @@
 typedef struct {
     /* Session constants. */
     int64_t n_slots, period, n_periods;
-    int64_t window;                 /* p_err row capacity in slots */
     const uint8_t *usable, *special;
     const double *uniforms, *retx_uniforms;
     /* Per-period measurement chain, hoisted by the caller: measured
@@ -65,12 +71,17 @@ typedef struct {
     /* HARQ. */
     int64_t rtt, max_attempts;
     double retx_scale;
-    /* p_err rows, (2 * n_mcs, window): row k holds slots
-     * [row_lo[k], row_hi[k]) of its (family, mcs). */
-    double *rows;
-    int64_t *row_lo, *row_hi;
-    /* Retransmission FIFO, capacity n_slots (one push per slot at most). */
-    int64_t *q_due, *q_tbs, *q_att;
+    /* Decode-error model: spectral efficiency per (family, mcs) (2,
+     * n_mcs), sustainable efficiency per slot, the logistic's bias and
+     * slope, and the decision guard. */
+    const double *eff_lut, *eff_cap;
+    double bias, slope, guard_rel, guard_abs;
+    /* Exact numpy p_err: exact[i] is valid iff have[i / period]. */
+    const double *exact;
+    const uint8_t *have;
+    /* Retransmission FIFO, capacity n_slots (one push per slot at most);
+     * q_src is the slot of the block's first transmission. */
+    int64_t *q_due, *q_tbs, *q_att, *q_src;
     double *q_p;
     /* Trace columns, written in place. */
     uint8_t *scheduled, *is_retx, *error;
@@ -79,25 +90,47 @@ typedef struct {
     /* Resumable state. */
     int64_t next_period, q_head, q_tail, rank;
     double ewma, delta;
-    /* Set on return 1: the p_err row (family * n_mcs + mcs) the caller
-     * must fill from slot need_lo on (and set row_lo/row_hi for). */
-    int64_t need_row, need_lo;
+    /* Set on return 1: the period whose exact p_err the caller must
+     * fill, and its (family * n_mcs + mcs) key. */
+    int64_t need_period, need_key;
 } repro_session_t;
 
+/* BlerModel.error_probability_given_capacity for one slot: the argument
+ * by numpy's in-place op sequence (bit-identical IEEE ops), then libm
+ * exp, which may round differently from numpy's — callers guard every
+ * decision taken on the result with `uncertain`. */
+static inline double p_err_libm(double eff, double cap, double bias, double slope)
+{
+    double x = eff - cap;
+    x -= bias;
+    x /= slope;
+    x = -x;
+    return 1.0 / (exp(x) + 1.0);
+}
+
+/* Whether `u >= p` might decide differently on numpy's p. */
+static inline int uncertain(double u, double p, double rel, double abs_tol)
+{
+    return fabs(u - p) <= rel * p + abs_tol;
+}
+
 /* Runs periods from s->next_period on.  Returns 0 when the session is
- * complete, 1 when the caller must fill p_err row s->need_row first
- * (s->next_period is then the period to resume at, nothing of it
- * committed). */
+ * complete, 1 when the caller must fill the exact p_err of period
+ * s->need_period first (s->next_period is then the period to resume
+ * at, nothing of it committed). */
 int64_t repro_session_run(repro_session_t *s)
 {
-    const int64_t n_slots = s->n_slots, period = s->period;
-    const int64_t window = s->window, n_mcs = s->n_mcs;
+    const int64_t n_slots = s->n_slots, period = s->period, n_mcs = s->n_mcs;
     const int64_t max_layers = s->max_layers;
     const int64_t rtt = s->rtt, max_attempts = s->max_attempts;
     const double scale = s->retx_scale;
-    const uint8_t *usable = s->usable, *special = s->special;
+    const double bias = s->bias, slope = s->slope;
+    const double g_rel = s->guard_rel, g_abs = s->guard_abs;
+    const uint8_t *usable = s->usable, *special = s->special, *have = s->have;
     const double *uni = s->uniforms, *rxu = s->retx_uniforms;
+    const double *cap = s->eff_cap, *exact = s->exact;
     int64_t *q_due = s->q_due, *q_tbs = s->q_tbs, *q_att = s->q_att;
+    int64_t *q_src = s->q_src;
     double *q_p = s->q_p;
     uint8_t *o_sched = s->scheduled, *o_retx = s->is_retx, *o_err = s->error;
     int64_t *o_prb = s->n_prb, *o_re = s->n_re, *o_mcs = s->mcs_index;
@@ -113,20 +146,16 @@ int64_t repro_session_run(repro_session_t *s)
         const int64_t start = p * period;
         const int64_t stop = start + period < n_slots ? start + period : n_slots;
         const int64_t cqi = s->cqi[p], f = s->fb[p];
+        /* Period-start state, restored if a decision is uncertain. */
+        const int64_t head0 = head, tail0 = tail, rank0 = rank;
+        const double ewma0 = ewma;
 
         /* CQI -> MCS through the OLLA offset (round half to even). */
         int64_t offset = s->olla_enabled ? (int64_t)nearbyint(delta) : 0;
         int64_t mcs = s->mcs_lut[(f * s->n_cqi + cqi) * s->n_off + offset - s->off_lo];
         int64_t key = f * n_mcs + mcs;
-        const int64_t lo = s->row_lo[key];
-        if (start < lo || stop > s->row_hi[key]) {
-            /* Hand the row back to numpy before committing the period. */
-            s->need_row = key;
-            s->need_lo = start;
-            rc = 1;
-            break;
-        }
-        const double *perr = s->rows + key * window;   /* slot lo first */
+        const double eff = s->eff_lut[key];
+        const int exact_p = have[p];
 
         /* Rank: EWMA of the measured SINR, thresholds with hysteresis. */
         double meas = s->measured[p];
@@ -147,7 +176,7 @@ int64_t repro_session_run(repro_session_t *s)
         const int64_t mod = s->mod_lut[key], dci = s->dci[p];
 
         /* Per-slot walk: _scalar_slot. */
-        int64_t acks = 0, nacks = 0;
+        int64_t acks = 0, nacks = 0, need = -1, need_key = 0;
         for (int64_t i = start; i < stop; i++) {
             if (!usable[i])
                 continue;
@@ -155,20 +184,29 @@ int64_t repro_session_run(repro_session_t *s)
             int64_t tbs;
             uint8_t ok;
             if (head < tail && q_due[head] <= i && !(sp && q_tbs[head] > ts)) {
-                /* Serve the due retransmission: it displaces new data. */
-                tbs = q_tbs[head];
-                const int64_t att = q_att[head];
-                const double hint = q_p[head];
-                head++;
+                /* Serve the due retransmission: it displaces new data.
+                 * Its hint is exact once the origin period is filled. */
+                const int64_t src = q_src[head], src_p = src / period;
+                const int exact_src = have[src_p];
+                const double hint = exact_src ? exact[src] : q_p[head];
                 double pr = hint * scale;
                 if (!(pr < 1.0))
                     pr = 1.0;
+                if (!exact_src && uncertain(rxu[i], pr, g_rel, g_abs)) {
+                    need = src_p;
+                    need_key = s->fb[src_p] * n_mcs + o_mcs[src];
+                    break;
+                }
                 ok = rxu[i] >= pr;
+                tbs = q_tbs[head];
+                const int64_t att = q_att[head];
+                head++;
                 o_retx[i] = 1;
                 if (!ok && att + 1 < max_attempts) {
                     q_due[tail] = i + rtt;
                     q_tbs[tail] = tbs;
                     q_att[tail] = att + 1;
+                    q_src[tail] = src;
                     q_p[tail] = hint;
                     tail++;
                 }
@@ -176,7 +214,13 @@ int64_t repro_session_run(repro_session_t *s)
                 tbs = sp ? ts : tf;
                 if (tbs <= 0)
                     continue;
-                ok = uni[i] >= perr[i - lo];
+                const double pe = exact_p ? exact[i] : p_err_libm(eff, cap[i], bias, slope);
+                if (!exact_p && uncertain(uni[i], pe, g_rel, g_abs)) {
+                    need = p;
+                    need_key = key;
+                    break;
+                }
+                ok = uni[i] >= pe;
                 if (ok) {
                     acks++;
                 } else {
@@ -184,7 +228,8 @@ int64_t repro_session_run(repro_session_t *s)
                     q_due[tail] = i + rtt;
                     q_tbs[tail] = tbs;
                     q_att[tail] = 1;
-                    q_p[tail] = perr[i - lo];
+                    q_src[tail] = i;
+                    q_p[tail] = pe;
                     tail++;
                 }
             }
@@ -201,6 +246,32 @@ int64_t repro_session_run(repro_session_t *s)
                 o_dlv[i] = tbs;
             else
                 o_err[i] = 1;
+        }
+
+        if (need >= 0) {
+            /* Un-commit the period: its state and its trace slots (the
+             * trace starts zeroed) go back to how the period found them. */
+            const size_t m = (size_t)(stop - start);
+            head = head0;
+            tail = tail0;
+            rank = rank0;
+            ewma = ewma0;
+            memset(o_sched + start, 0, m);
+            memset(o_retx + start, 0, m);
+            memset(o_err + start, 0, m);
+            memset(o_prb + start, 0, m * sizeof(int64_t));
+            memset(o_re + start, 0, m * sizeof(int64_t));
+            memset(o_mcs + start, 0, m * sizeof(int64_t));
+            memset(o_mod + start, 0, m * sizeof(int64_t));
+            memset(o_lay + start, 0, m * sizeof(int64_t));
+            memset(o_tbs + start, 0, m * sizeof(int64_t));
+            memset(o_dlv + start, 0, m * sizeof(int64_t));
+            memset(o_cqi + start, 0, m * sizeof(int64_t));
+            memset(o_dci + start, 0, m * sizeof(int64_t));
+            s->need_period = need;
+            s->need_key = need_key;
+            rc = 1;
+            break;
         }
 
         /* OLLA: net update over the period's new transmissions. */

@@ -20,8 +20,10 @@ Four slot engines produce byte-identical traces:
   oracle for the equivalence test matrix.
 - ``"native"`` — the whole period loop of one session in a compiled C
   kernel (:mod:`repro.ran._native`), writing the trace columns in
-  place; only the decode-error rows are evaluated in numpy.  Never
-  requested directly: the policy picks it whenever the kernel loads.
+  place.  Decode-error probabilities are evaluated in C behind a
+  certified decision guard; numpy fills a period exactly only when a
+  decision is too close to call.  Never requested directly: the policy
+  picks it whenever the kernel loads.
 - ``"vectorized"`` — the portable segment-batched numpy fast path:
   within each CQI period the slot range is split into maximal
   contiguous segments with no due HARQ retransmission, and every trace
@@ -991,14 +993,15 @@ def _run_periods(engine_cls, trace: SlotTrace, s: _SessionInputs) -> None:
     engine.flush(trace)
 
 
-#: CQI periods per decode-error row of the native engine.  The kernel
-#: holds one ``p_err`` row per (MCS family, MCS index); a period whose
-#: row does not cover it sends the kernel back to numpy, which fills
-#: the row for this many periods from that period on.  Longer windows
-#: mean fewer round trips but more slots evaluated at an MCS no period
-#: there decodes with (paper_quick, 2-core host: 32 periods 0.31 round
-#: trips per period, 256 periods 0.06).
-NATIVE_ROW_WINDOW_PERIODS = 256
+#: Decision guard of the native engine.  The kernel evaluates p_err
+#: with libm ``exp``, which can differ from numpy's in the last bit, so
+#: it takes a decision ``u >= p`` only when ``|u - p|`` exceeds
+#: ``P_ERR_GUARD_REL * p + P_ERR_GUARD_ABS``; closer calls are decided on
+#: numpy's exact values instead (measured libm/numpy gap: <= 5.1e-16
+#: relative).  The absolute term covers ``p -> 0``, where one ``exp`` may
+#: overflow and the other not while ``u == 0``.
+P_ERR_GUARD_REL = 1e-12
+P_ERR_GUARD_ABS = 1e-300
 
 
 def _addr(a: np.ndarray, dtype) -> int:
@@ -1015,14 +1018,17 @@ def _run_native(kernel: "_native.NativeKernel", trace: SlotTrace,
     """The ``native`` engine: the whole period loop in one C entry point.
 
     The kernel transliterates :func:`_run_periods` with
-    :func:`_scalar_slot` semantics and writes the trace columns in
-    place.  Decode-error probabilities stay in numpy: the kernel stops
-    at a period boundary, before committing anything of the period,
-    whenever the period's (family, MCS) row does not cover it, and this
-    loop fills the row for :data:`NATIVE_ROW_WINDOW_PERIODS` periods by
-    the same in-place ufunc sequence :func:`_run_periods` runs on one
-    period's slice (numpy's elementwise results do not depend on the
-    slice bounds).  The only Python between kernel calls is that fill.
+    :func:`_scalar_slot` semantics, evaluates each decoded slot's
+    decode-error probability itself and writes the trace columns in
+    place.  Its libm ``exp`` may round differently from numpy's, so the
+    kernel certifies every decision against :data:`P_ERR_GUARD_REL` /
+    :data:`P_ERR_GUARD_ABS`; on a call too close to make it un-commits
+    the period and returns, and this loop fills that one period's exact
+    values by the same slice and in-place ufunc sequence
+    :func:`_run_periods` evaluates, then resumes the kernel.  Filled
+    periods decide on the exact values, new transmissions and the
+    retransmissions of their blocks alike.  The only Python between
+    kernel calls is that fill, which real sessions almost never need.
     """
     cell, params, max_layers = s.cell, s.params, s.max_layers
     n_slots = len(trace)
@@ -1040,18 +1046,19 @@ def _run_native(kernel: "_native.NativeKernel", trace: SlotTrace,
     rank_up = np.array([up for _, up, _ in steps])
     rank_keep = np.array([keep for _, _, keep in steps])
 
-    window = NATIVE_ROW_WINDOW_PERIODS * period
-    rows = np.empty((2 * n_mcs, window))
-    row_lo = np.zeros(2 * n_mcs, dtype=np.int64)
-    row_hi = np.zeros(2 * n_mcs, dtype=np.int64)
-    # Retransmission FIFO: at most one push per slot, so n_slots entries
+    n_periods = s.cqi.size
+    # Exact p_err, written only for the periods ``have`` marks, and the
+    # retransmission FIFO: at most one push per slot, so n_slots entries
     # always suffice (untouched pages of np.empty are never committed).
-    q_due, q_tbs, q_att = (np.empty(n_slots, dtype=np.int64) for _ in range(3))
+    exact = np.empty(n_slots)
+    have = np.zeros(n_periods, dtype=np.bool_)
+    q_due, q_tbs, q_att, q_src = (np.empty(n_slots, dtype=np.int64) for _ in range(4))
     q_p = np.empty(n_slots)
+    bler = params.bler
     olla = Olla()
     i64, f64, b1 = np.int64, np.float64, np.bool_
     args = _native.SessionArgs(
-        n_slots=n_slots, period=period, n_periods=s.cqi.size, window=window,
+        n_slots=n_slots, period=period, n_periods=n_periods,
         usable=_addr(s.usable, b1), special=_addr(s.special, b1),
         uniforms=_addr(s.uniforms, f64),
         retx_uniforms=_addr(s.retx_uniforms, f64),
@@ -1071,10 +1078,12 @@ def _run_native(kernel: "_native.NativeKernel", trace: SlotTrace,
         olla_lo=olla.min_offset, olla_hi=olla.max_offset,
         rtt=params.harq_rtt_slots, max_attempts=params.max_attempts,
         retx_scale=params.retx_error_scale,
-        rows=_addr(rows, f64), row_lo=_addr(row_lo, i64),
-        row_hi=_addr(row_hi, i64),
+        eff_lut=_addr(eff_lut, f64), eff_cap=_addr(s.eff_cap, f64),
+        bias=bler.bias, slope=bler.slope,
+        guard_rel=P_ERR_GUARD_REL, guard_abs=P_ERR_GUARD_ABS,
+        exact=_addr(exact, f64), have=_addr(have, b1),
         q_due=_addr(q_due, i64), q_tbs=_addr(q_tbs, i64),
-        q_att=_addr(q_att, i64), q_p=_addr(q_p, f64),
+        q_att=_addr(q_att, i64), q_src=_addr(q_src, i64), q_p=_addr(q_p, f64),
         scheduled=_addr(trace.scheduled, b1), is_retx=_addr(trace.is_retx, b1),
         error=_addr(trace.error, b1), n_prb=_addr(trace.n_prb, i64),
         n_re=_addr(trace.n_re, i64), mcs_index=_addr(trace.mcs_index, i64),
@@ -1087,14 +1096,15 @@ def _run_native(kernel: "_native.NativeKernel", trace: SlotTrace,
     run = kernel.session_run
     ref = ctypes.byref(args)
     eff_rows = eff_lut.reshape(-1)
-    fill = params.bler.error_probability_given_capacity
-    eff_cap = s.eff_cap
     while run(ref):
-        key, lo = args.need_row, args.need_lo
-        hi = min(lo + window, n_slots)
-        fill(eff_rows[key], eff_cap[lo:hi], out=rows[key, :hi - lo])
-        row_lo[key] = lo
-        row_hi[key] = hi
+        p = args.need_period
+        if have[p]:
+            raise RuntimeError(f"native kernel re-requested filled period {p}")
+        lo = p * period
+        hi = min(lo + period, n_slots)
+        bler.error_probability_given_capacity(
+            eff_rows[args.need_key], s.eff_cap[lo:hi], out=exact[lo:hi])
+        have[p] = True
 
 
 def _forward_fill_cqi(trace: SlotTrace) -> None:

@@ -2,11 +2,14 @@
 
 import pytest
 
-from repro.nr.mcs import MCS_TABLE_64QAM, MCS_TABLE_256QAM
+from repro.nr.mcs import MCS_TABLE_64QAM, MCS_TABLE_256QAM, McsTable
 from repro.nr.tbs import (
     MAX_RE_PER_PRB,
     TBS_TABLE_5_1_3_2_1,
+    cached_tbs_lookup_matrix,
+    clear_tbs_matrix_cache,
     tbs_lookup_matrix,
+    tbs_matrix_cache_stats,
     transport_block_size,
     usable_re_per_prb,
 )
@@ -120,3 +123,28 @@ class TestLookupMatrix:
         matrix = tbs_lookup_matrix(MCS_TABLE_64QAM, 150, max_layers=4)
         assert (matrix[1:] >= matrix[:-1]).all()
         assert (matrix[:, 1:] >= matrix[:, :-1]).all()
+
+
+class TestMatrixCache:
+    def setup_method(self):
+        clear_tbs_matrix_cache()
+
+    def teardown_method(self):
+        clear_tbs_matrix_cache()
+
+    def test_equal_tables_share_one_matrix(self):
+        twin = McsTable("twin", list(MCS_TABLE_256QAM), MCS_TABLE_256QAM.max_modulation)
+        first = cached_tbs_lookup_matrix(MCS_TABLE_256QAM, 100)
+        assert cached_tbs_lookup_matrix(twin, 100) is first
+        assert cached_tbs_lookup_matrix(MCS_TABLE_256QAM, 100) is first
+        stats = tbs_matrix_cache_stats()
+        assert (stats["entries"], stats["hits"], stats["misses"]) == (1, 2, 1)
+
+    def test_hit_does_not_walk_the_table(self):
+        table = McsTable("walked once", list(MCS_TABLE_64QAM),
+                         MCS_TABLE_64QAM.max_modulation)
+        first = cached_tbs_lookup_matrix(table, 100)
+        table.entries = None  # any further walk would raise
+        for _ in range(3):
+            assert cached_tbs_lookup_matrix(table, 100) is first
+        assert tbs_matrix_cache_stats()["hits"] == 3

@@ -12,11 +12,21 @@ on/off, SINR regime and hence retx density, DL vs UL, multi-UE
 scheduling) gets a parametrized equality case, plus a seeded
 randomized-config sweep and a generated differential test as
 tripwires for interactions the matrix misses.
+
+The native kernel evaluates decode-error probabilities with libm and
+certifies each decision against a guard, falling back to numpy's exact
+values for a period when a call is too close.  Real sessions almost
+never take that fallback, so it gets its own cases: forced-exact twins
+(the guard widened until every period falls back) and edge sessions
+whose uniforms sit between numpy's and libm's probabilities, where an
+unguarded libm decision would flip.
 """
 
 from __future__ import annotations
 
+import math
 import re
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -29,6 +39,7 @@ from repro.nr.mcs import Modulation
 from repro.nr.numerology import slot_duration_ms
 from repro.nr.tdd import TddPattern
 from repro.ran import _native, simulator
+from repro.ran.amc import BlerModel
 from repro.ran.config import CellConfig, resolve_engine
 from repro.ran.scheduler import ProportionalFairScheduler, RoundRobinScheduler
 from repro.ran.simulator import (SimParams, simulate_downlink,
@@ -113,6 +124,36 @@ def _check_uplink(seed: int, engine: str) -> None:
     assert fast == ref
 
 
+#: numpy's p_err evaluation, unpatched (the fallback tests count the
+#: calls the engines make).
+_NUMPY_P_ERR = BlerModel.error_probability_given_capacity
+
+
+@contextmanager
+def _counted_fills():
+    """Yields a list that grows by one per numpy p_err evaluation (the
+    native engine's only one is its exact one-period fallback)."""
+    fills = []
+
+    def counted(self, *args, **kwargs):
+        fills.append(1)
+        return _NUMPY_P_ERR(self, *args, **kwargs)
+
+    with mock.patch.object(BlerModel, "error_probability_given_capacity",
+                           counted):
+        yield fills
+
+
+@contextmanager
+def _forced_exact():
+    """Widen the native guard until every decision is uncertain, so each
+    period the kernel decodes falls back to numpy's exact values; yields
+    the fill count of :func:`_counted_fills`."""
+    with mock.patch.object(simulator, "P_ERR_GUARD_ABS", 2.0), \
+            _counted_fills() as fills:
+        yield fills
+
+
 @pytest.mark.parametrize("case", sorted(SINGLE_UE_CASES))
 @pytest.mark.parametrize("seed", [3, 1234])
 def test_single_ue_downlink_byte_identical(case: str, seed: int):
@@ -126,6 +167,21 @@ def test_single_ue_downlink_native_byte_identical(case: str, seed: int):
     _check_single_ue(case, seed, "native")
 
 
+@needs_kernel
+@pytest.mark.parametrize("case", sorted(SINGLE_UE_CASES))
+@pytest.mark.parametrize("seed", [3, 1234])
+def test_single_ue_downlink_native_forced_exact(case: str, seed: int):
+    """Every period through the exact fallback: same bytes, and the
+    fallback really ran."""
+    cell, mean_sinr_db, params = SINGLE_UE_CASES[case]
+    with _forced_exact() as fills:
+        native = _run_single(simulate_downlink, cell, mean_sinr_db, seed,
+                             _request("native"), **params)
+    assert len(fills) > 0
+    assert native == _run_single(simulate_downlink, cell, mean_sinr_db, seed,
+                                 "reference", **params)
+
+
 @pytest.mark.parametrize("seed", [3, 1234])
 def test_uplink_byte_identical(seed: int):
     _check_uplink(seed, "vectorized")
@@ -135,6 +191,108 @@ def test_uplink_byte_identical(seed: int):
 @pytest.mark.parametrize("seed", [3, 1234])
 def test_uplink_native_byte_identical(seed: int):
     _check_uplink(seed, "native")
+
+
+@needs_kernel
+@pytest.mark.parametrize("seed", [3, 1234])
+def test_uplink_native_forced_exact(seed: int):
+    cell = _tdd_cell(Modulation.QAM256)
+    with _forced_exact() as fills:
+        native = _run_single(simulate_uplink, cell, 16.0, seed,
+                             _request("native"))
+    assert len(fills) > 0
+    assert native == _run_single(simulate_uplink, cell, 16.0, seed, "reference")
+
+
+def _libm_p_err(bler, eff_mcs: float, eff_cap: np.ndarray) -> np.ndarray:
+    """p_err as the native kernel evaluates it: the logistic argument by
+    numpy's op sequence, then the C library's exp (``math.exp``)."""
+    x = eff_mcs - eff_cap
+    x -= bler.bias
+    x /= bler.slope
+    np.negative(x, out=x)
+    e = np.fromiter(map(math.exp, x.tolist()), dtype=float, count=x.size)
+    return 1.0 / (e + 1.0)
+
+
+def _edge_session(s) -> None:
+    """Rewrite a no-OLLA session's pre-drawn uniforms in place so many
+    decisions sit exactly between numpy's and libm's decode-error
+    probabilities.
+
+    Without OLLA the MCS of every period follows from its CQI alone, so
+    both probabilities per slot are known up front.  Two slots in eight
+    get ``u = 0`` (a NACK).  In even periods the other six get
+    ``u = min(p_numpy, p_libm)``: wherever the two probabilities differ
+    (a few percent of slots) an unguarded libm decision disagrees with
+    the oracle's ``u >= p``.  Odd periods keep their random draws, and
+    the on-time retransmission of each of their NACKs gets the same
+    edge against its hint ``min(1, p * scale)``.  New-transmission and
+    retransmission edges thus never share an origin period, so neither
+    guard can mask the other's absence by filling that period.
+    """
+    assert not s.params.olla_enabled
+    mcs_lut, eff_lut, _, _ = simulator._la_luts(s.cell)
+    is_qam256 = s.cell.max_modulation is Modulation.QAM256
+    fb = ((s.cqi <= s.params.dci_fallback_cqi) & is_qam256).astype(np.int64)
+    mcs = mcs_lut[fb, s.cqi, -simulator._OFF_LO]
+    period = s.cell.cqi_period_slots
+    n_slots = s.uniforms.size
+    bler = s.params.bler
+    p_numpy, p_libm = np.empty(n_slots), np.empty(n_slots)
+    for k in range(s.cqi.size):
+        lo, hi = k * period, min(n_slots, (k + 1) * period)
+        eff = eff_lut[fb[k], mcs[k]]
+        _NUMPY_P_ERR(bler, eff, s.eff_cap[lo:hi], out=p_numpy[lo:hi])
+        p_libm[lo:hi] = _libm_p_err(bler, eff, s.eff_cap[lo:hi])
+    slot = np.arange(n_slots)
+    nack = slot % 8 < 2
+    even = (slot // period) % 2 == 0
+    s.uniforms[:] = np.where(nack, 0.0, np.where(
+        even, np.minimum(p_numpy, p_libm), s.uniforms))
+    rtt, scale = s.params.harq_rtt_slots, s.params.retx_error_scale
+    src = slot[nack & ~even & (slot + rtt < n_slots)]
+    s.retx_uniforms[src + rtt] = np.minimum(
+        np.minimum(1.0, p_numpy[src] * scale),
+        np.minimum(1.0, p_libm[src] * scale))
+
+
+def _run_on_edge(simulate, cell: CellConfig, seed: int, engine: str) -> bytes:
+    """One edge session (see :func:`_edge_session`) through ``engine``."""
+    run_native, run_periods = simulator._run_native, simulator._run_periods
+
+    def edge_native(kernel, trace, s):
+        _edge_session(s)
+        run_native(kernel, trace, s)
+
+    def edge_periods(engine_cls, trace, s):
+        _edge_session(s)
+        run_periods(engine_cls, trace, s)
+
+    with mock.patch.object(simulator, "_run_native", edge_native), \
+            mock.patch.object(simulator, "_run_periods", edge_periods):
+        # Conservative MCS (small p, where libm and numpy differ most)
+        # and an RTT of two TDD patterns, so retransmissions land on time.
+        return _run_single(simulate, cell, 24.0, seed, engine,
+                           olla_enabled=False, cqi_alpha=0.4,
+                           harq_rtt_slots=10, retx_error_scale=0.5)
+
+
+@needs_kernel
+@pytest.mark.parametrize("direction", ["DL", "UL"])
+@pytest.mark.parametrize("cell", [_tdd_cell(Modulation.QAM256), _fdd_cell()],
+                         ids=["tdd", "fdd"])
+def test_native_edge_decisions_match_reference(cell, direction):
+    """Decisions on a knife edge: libm's p differs from numpy's in the
+    last bit on a few percent of inputs, and an unguarded kernel flips
+    each of those decisions here.  The guard must send each such period
+    (or an edge retransmission's origin period) to the exact fallback,
+    un-committing whatever the period had already written."""
+    simulate = simulate_downlink if direction == "DL" else simulate_uplink
+    with _counted_fills() as fills:
+        native = _run_on_edge(simulate, cell, 11, _request("native"))
+    assert len(fills) > 0
+    assert native == _run_on_edge(simulate, cell, 11, "reference")
 
 
 def _run_multi(engine: str, scheduler_cls, seed: int, n_ues: int = 3) -> bytes:
@@ -226,7 +384,7 @@ def _carrier(duplex: str, scs_khz: int, qam256: bool,
     retx_error_scale=st.floats(min_value=0.0, max_value=1.0),
     cqi_alpha=st.floats(min_value=0.4, max_value=2.0),
     cqi_period_slots=st.sampled_from([1, 7, 20]),
-    row_window_periods=st.sampled_from([1, 3, 16, 256]),
+    forced_exact=st.booleans(),
     n_periods=st.integers(min_value=1, max_value=300),
     remainder=st.integers(min_value=0, max_value=19),
     seed=st.integers(min_value=0, max_value=10_000),
@@ -234,12 +392,13 @@ def _carrier(duplex: str, scs_khz: int, qam256: bool,
 def test_generated_lone_sessions_native_matches_reference(
         duplex, scs_khz, qam256, direction, sinr, olla_enabled,
         harq_rtt_slots, max_attempts, retx_error_scale, cqi_alpha,
-        cqi_period_slots, row_window_periods, n_periods, remainder, seed):
+        cqi_period_slots, forced_exact, n_periods, remainder, seed):
     """Generated differential test of the native engine: any lone
     session — every numerology including the 120 kHz FR2 carrier, both
-    directions, any HARQ/OLLA/CQI setting, durations that cross p_err
-    row windows and end on a partial CQI period — matches the reference
-    oracle byte for byte."""
+    directions, any HARQ/OLLA/CQI setting, durations that end on a
+    partial CQI period, with libm decisions or with every period forced
+    through the exact numpy fallback — matches the reference oracle
+    byte for byte."""
     cell = _carrier(duplex, scs_khz, qam256, cqi_period_slots)
     n_slots = n_periods * cqi_period_slots + remainder % cqi_period_slots
     duration_s = n_slots * slot_duration_ms(cell.mu) / 1000.0
@@ -247,8 +406,8 @@ def test_generated_lone_sessions_native_matches_reference(
     params = dict(olla_enabled=olla_enabled, harq_rtt_slots=harq_rtt_slots,
                   max_attempts=max_attempts, retx_error_scale=retx_error_scale,
                   cqi_alpha=cqi_alpha)
-    with mock.patch.object(simulator, "NATIVE_ROW_WINDOW_PERIODS",
-                           row_window_periods):
+    guard_abs = 2.0 if forced_exact else simulator.P_ERR_GUARD_ABS
+    with mock.patch.object(simulator, "P_ERR_GUARD_ABS", guard_abs):
         native = _run_single(simulate, cell, sinr, seed, _request("native"),
                              duration_s=duration_s, mu=cell.mu, **params)
     ref = _run_single(simulate, cell, sinr, seed, "reference",
@@ -273,12 +432,39 @@ def test_no_kernel_auto_runs_vectorized(monkeypatch):
                        **params) == expected
 
 
-def test_kernel_source_evaluates_no_transcendentals():
-    """The C kernels must not evaluate exp/log/pow: libm's results differ
-    from numpy's SIMD ones in the last bit, so decode-error
-    probabilities always come from numpy."""
+def _session_kernel_code() -> tuple[str, str]:
+    """(whole comment-stripped kernel source, body of repro_session_run)."""
     source = Path(simulator.__file__).with_name("_retx_kernel.c").read_text()
     code = re.sub(r"/\*.*?\*/", "", source, flags=re.S)
-    calls = re.findall(
-        r"\b(?:exp|expm1|exp2|log|log1p|log2|log10|pow)[fl]?\s*\(", code)
-    assert calls == []
+    start = code.index("int64_t repro_session_run(")
+    end = code.index("int64_t repro_retx_period(")
+    return code, code[start:end]
+
+
+def test_kernel_source_guards_every_p_err_decision():
+    """libm's exp differs from numpy's SIMD one in the last bit, so the
+    C kernels evaluate exactly one exp — inside the p_err helper — and
+    no other transcendental, and every decision the session kernel takes
+    on a probability is preceded by the guard on the same two values."""
+    code, body = _session_kernel_code()
+    exps = [m.start() for m in re.finditer(r"\bexp[fl]?\s*\(", code)]
+    assert len(exps) == 1
+    helper = re.search(r"static inline double p_err_libm\([^)]*\)\s*\{(.*?)\n\}",
+                       code, flags=re.S)
+    assert helper is not None
+    assert helper.start(1) <= exps[0] < helper.end(1)
+    others = re.findall(
+        r"\b(?:expm1|exp2|log|log1p|log2|log10|pow)[fl]?\s*\(", code)
+    assert others == []
+    # The helper runs once per decoded slot, straight into the guard.
+    uses = re.findall(r"(\w+) = [^;]*\bp_err_libm\(", body)
+    assert len(uses) == 1 and len(re.findall(r"\bp_err_libm\(", code)) == 2
+    # Every decision compares a uniform against a value whose nearest
+    # preceding guard checked that same uniform and value.
+    decisions = list(re.finditer(r"\bok = (\w+)\[i\] >= (\w+);", body))
+    guards = list(re.finditer(r"\buncertain\((\w+)\[i\], (\w+),", body))
+    assert len(decisions) == 2 and len(guards) == 2
+    assert any(d.group(2) == uses[0] for d in decisions)
+    for decision in decisions:
+        guard = [g for g in guards if g.start() < decision.start()][-1]
+        assert guard.groups() == decision.groups()
