@@ -17,10 +17,39 @@ Doppler ``f_d = v * f_c / c``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0
+
+
+@lru_cache(maxsize=64)
+def _ar1_powers(a: float, k: int) -> np.ndarray:
+    """``a ** [1..k]`` (read-only), memoized: realizations of one
+    channel spec share their coefficient and slot count."""
+    powers = a ** np.arange(1, k + 1)
+    powers.flags.writeable = False
+    return powers
+
+
+def ar1_power_tables(a: float, n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Chunking of the constant-coefficient scan over ``n`` samples.
+
+    Returns ``(chunk, full, tail)``: steps ``1..n-1`` run in chunks of
+    ``chunk`` steps, each full chunk scaled by ``full = a ** [1..chunk]``
+    and the shorter last one (if any) by ``tail``, each table computed
+    by numpy exactly as the scan always has.  The numpy scan and the
+    native kernel both take their powers from here, so neither can
+    round ``a^k`` differently from the other.  ``a`` must be non-zero.
+    """
+    # Scaled-prefix-sum scan: x[t]/a^t = x[0] + sum noise[k]/a^k.  For
+    # long runs a^-t overflows, so process in bounded-length chunks.
+    log_a = -np.log(abs(a))
+    chunk = max(16, min(4096, int(600.0 / max(1e-9, log_a)) if abs(a) < 1 else 4096))
+    steps = n - 1
+    full = _ar1_powers(a, chunk) if steps >= chunk else _ar1_powers(a, 0)
+    return chunk, full, _ar1_powers(a, steps % chunk)
 
 
 def _ar1_scan_const(a: float, noise: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -28,22 +57,19 @@ def _ar1_scan_const(a: float, noise: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     The chunk length and per-chunk arithmetic are load-bearing: cached
     campaign traces embed this exact floating-point evaluation order,
-    so any change here is a store-schema change.
+    so any change here is a store-schema change.  It is also the oracle
+    of the native ``repro_ar1_add``.
     """
     n = noise.size
     if a == 0.0:
         x[1:] = noise[1:]
         return x
-    # Scaled-prefix-sum scan: x[t]/a^t = x[0] + sum noise[k]/a^k.  For
-    # long runs a^-t overflows, so process in bounded-length chunks.
-    log_a = -np.log(abs(a))
-    chunk = max(16, min(4096, int(600.0 / max(1e-9, log_a)) if abs(a) < 1 else 4096))
+    chunk, full, tail = ar1_power_tables(a, n)
     start = 1
     prev = x[0]
     while start < n:
         stop = min(n, start + chunk)
-        k = stop - start
-        powers = a ** np.arange(1, k + 1)
+        powers = full if stop - start == chunk else tail
         scaled = noise[start:stop] / powers
         x[start:stop] = powers * (prev + np.cumsum(scaled))
         prev = x[stop - 1]
@@ -171,8 +197,8 @@ class Ar1Fading:
         """Generate ``n_slots`` correlated fading samples in dB.
 
         Vectorized via the scan identity: with ``a = rho`` constant,
-        ``x[t] = a^t x[0] + sum_k a^(t-k) b w[k]`` is computed with a
-        cumulative product trick in O(n).
+        ``x[t] = a^t (x[0] + sum_k b w[k] / a^k)``, a scaled prefix sum
+        computed in O(n) (in chunks, see :func:`ar1_power_tables`).
         """
         if n_slots < 1:
             raise ValueError("n_slots must be positive")
@@ -182,6 +208,40 @@ class Ar1Fading:
         b = self.sigma_db * np.sqrt(1.0 - a * a)
         w = rng.standard_normal(n_slots)
         return ar1_scan(a, b * w, init=self.sigma_db * w[0])
+
+    def add_to(self, out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Add ``out.size`` fading samples into ``out`` in place.
+
+        Draws what :meth:`sample` draws and leaves ``out`` bitwise equal
+        to ``out + sample(out.size, rng)``, without the temporaries:
+        with the native kernel loaded one C pass scans and adds, else
+        the numpy scan runs.  ``out`` must be a C-contiguous float64
+        array.
+        """
+        n = out.size
+        if n < 1:
+            raise ValueError("n_slots must be positive")
+        if out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError("out must be a C-contiguous float64 array")
+        if self.sigma_db == 0.0:
+            out += 0.0  # as adding zeros: -0.0 becomes +0.0
+            return out
+        from repro.ran import _native  # lazy: repro.ran imports this package
+
+        kernel = _native.load_kernel()
+        if kernel is None:
+            out += self.sample(n, rng)
+            return out
+        a = self.rho
+        b = self.sigma_db * np.sqrt(1.0 - a * a)
+        w = rng.standard_normal(n)
+        if a == 0.0:  # rho underflowed: x[t] = b*w[t], no powers needed
+            chunk, full, tail = 0, w, w
+        else:
+            chunk, full, tail = ar1_power_tables(a, n)
+        kernel.ar1_add(n, a, b, self.sigma_db, w.ctypes.data, chunk,
+                       full.ctypes.data, tail.ctypes.data, out.ctypes.data)
+        return out
 
     @classmethod
     def for_speed(

@@ -86,6 +86,17 @@ def _repeat_to(values: np.ndarray, n_slots: int, stride: int) -> np.ndarray:
     return np.repeat(values, stride)[:n_slots]
 
 
+def _subtract_blockage(sinr: np.ndarray, blockage: BlockageProcess, slot_ms: float,
+                       speed_mps: float, rng: np.random.Generator) -> None:
+    """Subtract a drawn blockage attenuation from ``sinr`` in place.
+
+    A process that cannot block (zero rate) draws nothing and would
+    subtract only zeros, and ``x - 0.0 == x`` bitwise, so it is skipped.
+    """
+    if blockage.effective_rate_hz(speed_mps) != 0.0:
+        sinr -= blockage.attenuation_db(sinr.size, slot_ms, speed_mps, rng)
+
+
 @dataclass
 class ChannelModel:
     """Geometry-driven channel: sites + mobility -> per-slot SINR.
@@ -176,13 +187,14 @@ class ChannelModel:
         denom_mw = db_to_linear(interference_dbm_total) + db_to_linear(noise_dbm)
         sinr_coarse = serving_dbm - linear_to_db(denom_mw)
 
-        # Expand to the slot grid, add fast fading and blockage.
+        # Expand to the slot grid, add fast fading and blockage (in place:
+        # the repeated series is a fresh buffer).
         sinr = _repeat_to(sinr_coarse, n_slots, LARGE_SCALE_STRIDE)
         fading = Ar1Fading.for_speed(
             mobility.speed_mps, self.frequency_ghz, slot_ms, sigma_db=self.fading_sigma_db
         )
-        sinr = sinr + fading.sample(n_slots, rng)
-        sinr = sinr - self.blockage.attenuation_db(n_slots, slot_ms, mobility.speed_mps, rng)
+        fading.add_to(sinr, rng)
+        _subtract_blockage(sinr, self.blockage, slot_ms, mobility.speed_mps, rng)
 
         rsrp_coarse = serving_dbm - linear_to_db(12.0 * self.n_rb)
         rsrp = _repeat_to(rsrp_coarse, n_slots, LARGE_SCALE_STRIDE)
@@ -247,16 +259,17 @@ class SyntheticChannel:
         rng = rng or np.random.default_rng()
         slot_ms = slot_duration_ms(mu)
         n_slots = max(1, int(round(duration_s * 1000.0 / slot_ms)))
-        fast = Ar1Fading(self.fast_sigma_db, self.fast_coherence_slots)
-        slow = Ar1Fading(self.slow_sigma_db, self.slow_coherence_slots)
-        sinr = self.mean_sinr_db + fast.sample(n_slots, rng) + slow.sample(n_slots, rng)
+        # mean + fast + slow, summed left to right in one buffer.
+        sinr = np.full(n_slots, self.mean_sinr_db, dtype=float)
+        Ar1Fading(self.fast_sigma_db, self.fast_coherence_slots).add_to(sinr, rng)
+        Ar1Fading(self.slow_sigma_db, self.slow_coherence_slots).add_to(sinr, rng)
         if extra_attenuation_db is not None:
             attenuation = np.asarray(extra_attenuation_db, dtype=float)
             if attenuation.size < n_slots:
                 raise ValueError("extra_attenuation_db shorter than the slot grid")
-            sinr = sinr - attenuation[:n_slots]
+            sinr -= attenuation[:n_slots]
         else:
-            sinr = sinr - self.blockage.attenuation_db(n_slots, slot_ms, self.speed_mps, rng)
+            _subtract_blockage(sinr, self.blockage, slot_ms, self.speed_mps, rng)
         rsrp = np.full(n_slots, self.rsrp_ref_dbm)
         rsrq = np.asarray(rsrq_from_sinr(sinr, load=self.rsrq_load))
         serving = np.zeros(n_slots, dtype=np.int64)

@@ -24,6 +24,7 @@ box plots) are provided.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,9 +93,20 @@ class UserPlaneLatencyModel:
         if not 0.0 <= self.retx_fraction <= 1.0:
             raise ValueError("retx_fraction must lie in [0, 1]")
 
-    @property
+    @cached_property
     def slot_ms(self) -> float:
         return slot_duration_ms(self.mu)
+
+    @cached_property
+    def _whole_wait_ms(self) -> dict[SlotType, tuple[float, ...]]:
+        """Per direction, ``wait_slots(direction, s) * slot_ms`` indexed by
+        ``s % period_slots`` (the wait depends on nothing else)."""
+        period = self.pattern.period_slots
+        return {
+            direction: tuple(self.pattern.wait_slots(direction, s) * self.slot_ms
+                             for s in range(period))
+            for direction in (SlotType.DL, SlotType.UL)
+        }
 
     # ------------------------------------------------------------------ #
     # Analytic means
@@ -151,8 +163,8 @@ class UserPlaneLatencyModel:
         of the next slot carrying ``direction``."""
         slot = int(phase_slots)
         residual = (slot + 1 - phase_slots) * self.slot_ms
-        whole = self.pattern.wait_slots(direction, slot + 1) * self.slot_ms
-        return residual + whole
+        waits = self._whole_wait_ms[direction]
+        return residual + waits[(slot + 1) % len(waits)]
 
     def sample(
         self,

@@ -26,8 +26,16 @@ NOISE_DENSITY_DBM_HZ = -174.0
 
 
 def db_to_linear(db: float | np.ndarray) -> float | np.ndarray:
-    """Convert dB to a linear power ratio."""
-    return np.power(10.0, np.asarray(db, dtype=float) / 10.0)
+    """Convert dB to a linear power ratio.
+
+    Array input is converted in one fresh buffer (same ufuncs, same
+    bytes); the in-place chains below keep working in that buffer.
+    """
+    db = np.asarray(db, dtype=float)
+    if db.ndim == 0:
+        return np.power(10.0, db / 10.0)
+    out = np.divide(db, 10.0)
+    return np.power(10.0, out, out=out)
 
 
 def linear_to_db(linear: float | np.ndarray) -> float | np.ndarray:
@@ -40,7 +48,11 @@ def linear_to_db(linear: float | np.ndarray) -> float | np.ndarray:
 def shannon_efficiency(sinr_db: float | np.ndarray, alpha: float = DEFAULT_ALPHA) -> np.ndarray:
     """Attenuated Shannon spectral efficiency in bits/s/Hz."""
     sinr_lin = db_to_linear(np.asarray(sinr_db, dtype=float))
-    return alpha * np.log2(1.0 + sinr_lin)
+    if np.ndim(sinr_lin) == 0:
+        return alpha * np.log2(1.0 + sinr_lin)
+    np.add(1.0, sinr_lin, out=sinr_lin)
+    np.log2(sinr_lin, out=sinr_lin)
+    return np.multiply(alpha, sinr_lin, out=sinr_lin)
 
 
 def sinr_to_cqi(
@@ -107,8 +119,18 @@ def rsrq_from_sinr(
     if not 0.0 < load <= 1.0:
         raise ValueError("load must lie in (0, 1]")
     sinr_lin = db_to_linear(np.asarray(sinr_db, dtype=float))
-    rsrq_lin = 1.0 / (12.0 * (load + 1.0 / sinr_lin))
-    return linear_to_db(rsrq_lin)
+    if np.ndim(sinr_lin) == 0:
+        rsrq_lin = 1.0 / (12.0 * (load + 1.0 / sinr_lin))
+        return linear_to_db(rsrq_lin)
+    # The same expression, evaluated in db_to_linear's fresh buffer.
+    buf = sinr_lin
+    np.divide(1.0, buf, out=buf)
+    np.add(load, buf, out=buf)
+    np.multiply(12.0, buf, out=buf)
+    np.divide(1.0, buf, out=buf)
+    with np.errstate(divide="ignore"):
+        np.log10(buf, out=buf)
+    return np.multiply(10.0, buf, out=buf)
 
 
 def sinr_from_rsrq(rsrq_db: float | np.ndarray, load: float = 1.0) -> float | np.ndarray:

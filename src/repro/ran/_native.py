@@ -5,7 +5,7 @@ walk, the OLLA update — is far too small for numpy: at those sizes the
 per-ufunc dispatch cost dominates the arithmetic by two orders of
 magnitude.  This module compiles ``_retx_kernel.c`` into a tiny shared
 library with the system C compiler and loads it through :mod:`ctypes`.
-The library has two entry points, bundled as a :class:`NativeKernel`:
+The library has three entry points, bundled as a :class:`NativeKernel`:
 
 - ``session_run`` — the whole period loop of one lone session (the
   ``"native"`` engine of :mod:`repro.ran.simulator`), driven through a
@@ -14,14 +14,18 @@ The library has two entry points, bundled as a :class:`NativeKernel`:
   one is too close to call, for numpy to fill that one period exactly.
 - ``retx_period`` — the cohort tensor engine's retransmission walk over
   one CQI period's dirty columns, on decode-error rows numpy evaluated.
+- ``ar1_add`` — one AR(1) fading component added in place into a SINR
+  buffer (:meth:`repro.channel.fading.Ar1Fading.add_to`), on the power
+  tables :func:`repro.channel.fading.ar1_power_tables` computed.
 
-Both produce byte-identical traces to the Python engines (see the
-header comment of ``_retx_kernel.c``).
+All three produce the same bytes as the numpy code they replace (see
+the header comment of ``_retx_kernel.c``).
 
 The kernel is optional for the package: no compiler, a failed build, a
 failed load or ``REPRO_NATIVE=0`` leave :func:`load_kernel` returning
 ``None``, and :func:`repro.ran.config.resolve_engine` then runs every
-session through the portable ``vectorized`` engine (same bytes).
+session through the portable ``vectorized`` engine, and fading through
+the numpy scan (same bytes).
 :func:`kernel_status` exposes what happened so ``repro cache stats``
 and the bench report can say why the native engines did not run.
 
@@ -58,12 +62,14 @@ _ptr = ctypes.c_void_p
 
 
 class NativeKernel(NamedTuple):
-    """The library's two entry points (ctypes functions)."""
+    """The library's three entry points (ctypes functions)."""
 
     #: ``repro_session_run(SessionArgs *) -> int64``.
     session_run: Any
     #: ``repro_retx_period(...)``, see :data:`_ARGTYPES`.
     retx_period: Any
+    #: ``repro_ar1_add(n, a, b, sigma, w, chunk, full, tail, out)``.
+    ar1_add: Any
 
 
 class SessionArgs(ctypes.Structure):
@@ -193,7 +199,11 @@ def load_kernel() -> NativeKernel | None:
         retx_period = lib.repro_retx_period
         retx_period.restype = _i64
         retx_period.argtypes = _ARGTYPES
-        fn = NativeKernel(session_run=session_run, retx_period=retx_period)
+        ar1_add = lib.repro_ar1_add
+        ar1_add.restype = None
+        ar1_add.argtypes = [_i64, _f64, _f64, _f64, _ptr, _i64, _ptr, _ptr, _ptr]
+        fn = NativeKernel(session_run=session_run, retx_period=retx_period,
+                          ar1_add=ar1_add)
     except Exception as exc:  # noqa: BLE001 - any failure means fallback
         _state["error"] = f"{type(exc).__name__}: {exc}"
         return None

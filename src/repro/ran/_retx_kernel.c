@@ -1,14 +1,20 @@
-/* Native slot-engine kernels: one shared library, two entry points.
+/* Native slot-engine kernels: one shared library, three entry points.
  *
  * repro_session_run — the whole CQI-period loop of one lone session
  * (the "native" engine of simulator.py): per period the rank EWMA and
  * hysteresis, CQI->MCS with the OLLA offset, the TBS pair, the per-slot
  * HARQ walk with `_scalar_slot` semantics and the OLLA update, writing
- * the SlotTrace columns in place.
+ * the SlotTrace columns in place; a completed run also forward-fills
+ * the CQI column like `_forward_fill_cqi`.
  *
  * repro_retx_period — the cohort tensor engine's retransmission walk:
  * one call advances every dirty column of a single CQI period.  It
  * still takes numpy-evaluated decode-error rows from its caller.
+ *
+ * repro_ar1_add — one stationary AR(1) fading component added into the
+ * caller's SINR buffer (repro.channel.fading.Ar1Fading.add_to): the
+ * chunked scaled-prefix-sum scan of `_ar1_scan_const`, op for op, on
+ * the power tables numpy computed (`ar1_power_tables`).
  *
  * Byte-identity with the Python engines rests on three rules:
  *
@@ -27,9 +33,11 @@
  * - Every floating-point expression transliterates the Python one in
  *   evaluation order — (1-b)*ewma + b*meas, delta + acks*up -
  *   nacks*down with its clamp, min(1, p*scale), the in-place logistic
- *   argument of BlerModel — and the library is built with
- *   -ffp-contract=off so no multiply-add is fused.  nearbyint() rounds
- *   half to even, exactly like Python's round().
+ *   argument of BlerModel, the AR(1) scan's (b*w)/P, running sum and
+ *   P*(prev+s) — and the library is built with -ffp-contract=off so no
+ *   multiply-add is fused.  nearbyint() rounds half to even, exactly
+ *   like Python's round().  The AR(1) powers a^k are never evaluated
+ *   here: they arrive as the very tables the numpy scan divides by.
  * - Due slots of pending retransmissions are strictly increasing in
  *   push order (every push is slot + rtt with at most one push per
  *   slot), so the engines' due-slot min-heap is a plain FIFO lane.
@@ -114,8 +122,29 @@ static inline int uncertain(double u, double p, double rel, double abs_tol)
     return fabs(u - p) <= rel * p + abs_tol;
 }
 
+/* _forward_fill_cqi: every slot without a positive CQI takes the last
+ * positive one before it; slots before the first positive CQI take that
+ * first one.  A column with no positive CQI is left alone. */
+static void forward_fill_cqi(int64_t *cqi, int64_t n)
+{
+    int64_t first = 0;
+    while (first < n && cqi[first] <= 0)
+        first++;
+    if (first == n)
+        return;
+    int64_t last = cqi[first];
+    for (int64_t i = 0; i < first; i++)
+        cqi[i] = last;
+    for (int64_t i = first + 1; i < n; i++) {
+        if (cqi[i] > 0)
+            last = cqi[i];
+        else
+            cqi[i] = last;
+    }
+}
+
 /* Runs periods from s->next_period on.  Returns 0 when the session is
- * complete, 1 when the caller must fill the exact p_err of period
+ * complete (CQI column forward-filled), 1 when the caller must fill the exact p_err of period
  * s->need_period first (s->next_period is then the period to resume
  * at, nothing of it committed). */
 int64_t repro_session_run(repro_session_t *s)
@@ -286,6 +315,8 @@ int64_t repro_session_run(repro_session_t *s)
     s->rank = rank;
     s->ewma = ewma;
     s->delta = delta;
+    if (rc == 0)
+        forward_fill_cqi(s->cqi_out, n_slots);
     return rc;
 }
 
@@ -482,4 +513,49 @@ int64_t repro_retx_period(
     counts[0] = ns;
     counts[1] = ne;
     return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* AR(1) fading                                                       */
+/* ------------------------------------------------------------------ */
+
+/* out[t] += x[t] for the stationary AR(1) series of `_ar1_scan_const`:
+ * x[0] = sigma*w[0] and x[t] = a*x[t-1] + b*w[t], evaluated exactly as
+ * the numpy scan does.  a == 0 gives x[t] = b*w[t].  Otherwise the
+ * steps 1..n-1 run in chunks of `chunk` (the last one shorter, on the
+ * `tail` table); within a chunk, with P = a^(j+1) from the table,
+ *
+ *     s = (b*w[t]) / P[j]       running sum, started from the first
+ *                               term as np.cumsum starts
+ *     x[t] = P[j] * (prev + s)  prev = the previous chunk's last x
+ *
+ * so every rounding step matches numpy's ufunc sequence. */
+void repro_ar1_add(int64_t n, double a, double b, double sigma,
+                   const double *w, int64_t chunk, const double *full,
+                   const double *tail, double *out)
+{
+    if (n < 1)
+        return;
+    double prev = sigma * w[0];
+    out[0] += prev;
+    if (a == 0.0) {
+        for (int64_t t = 1; t < n; t++)
+            out[t] += b * w[t];
+        return;
+    }
+    for (int64_t start = 1; start < n; start += chunk) {
+        const int64_t k = n - start < chunk ? n - start : chunk;
+        const double *P = k == chunk ? full : tail;
+        const double *wc = w + start;
+        double *oc = out + start;
+        double s = (b * wc[0]) / P[0];
+        double x = P[0] * (prev + s);
+        oc[0] += x;
+        for (int64_t j = 1; j < k; j++) {
+            s += (b * wc[j]) / P[j];
+            x = P[j] * (prev + s);
+            oc[j] += x;
+        }
+        prev = x;
+    }
 }

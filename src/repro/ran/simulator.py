@@ -869,11 +869,12 @@ def _simulate_direction(
     # segment-batched vectorized engine (byte-identical by contract).
     engine = resolve_engine(params.engine, 1)
     if engine == "native":
+        # The kernel forward-fills the CQI column itself.
         _run_native(_native.load_kernel(), trace, session)
     else:
         _run_periods(_SLOT_ENGINES[engine], trace, session)
-    # Unscheduled slots still carry the CQI context for analysis: forward-fill.
-    _forward_fill_cqi(trace)
+        # Unscheduled slots still carry the CQI context for analysis.
+        _forward_fill_cqi(trace)
     return trace
 
 
@@ -1029,6 +1030,8 @@ def _run_native(kernel: "_native.NativeKernel", trace: SlotTrace,
     periods decide on the exact values, new transmissions and the
     retransmissions of their blocks alike.  The only Python between
     kernel calls is that fill, which real sessions almost never need.
+    The completing call also forward-fills the CQI column exactly as
+    :func:`_forward_fill_cqi` does.
     """
     cell, params, max_layers = s.cell, s.params, s.max_layers
     n_slots = len(trace)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.latency import LatencyBreakdown, UserPlaneLatencyModel
-from repro.nr.tdd import TddPattern
+from repro.nr.numerology import Numerology
+from repro.nr.tdd import SlotType, SpecialSlotConfig, TddPattern
+from repro.operators.profiles import ALL_PROFILES
 
 DDDSU = TddPattern.from_string("DDDSU")
 LONG = TddPattern.from_string("DDDDDDDSUU")
@@ -87,3 +89,80 @@ class TestMonteCarlo:
             model.sample(0, rng=rng)
         with pytest.raises(ValueError):
             model.sample(10, rng=rng, retx_probability=2.0)
+
+
+def _profile_patterns():
+    patterns = {cell.tdd for profile in ALL_PROFILES.values()
+                for cell in profile.cells if cell.tdd is not None}
+    assert patterns
+    return sorted(patterns, key=lambda p: (p.pattern, repr(p.special)))
+
+
+def _original_sample(model, n, rng, retx_probability=0.0):
+    """UserPlaneLatencyModel.sample as first written: every wait scans
+    the pattern through ``wait_slots``."""
+    def wait_from_phase(phase_slots, direction):
+        slot = int(phase_slots)
+        residual = (slot + 1 - phase_slots) * model.slot_ms
+        whole = model.pattern.wait_slots(direction, slot + 1) * model.slot_ms
+        return residual + whole
+
+    period = model.pattern.period_slots
+    phases = rng.random(n) * period
+    delays = np.empty(n)
+    for i, phase in enumerate(phases):
+        t = wait_from_phase(float(phase), SlotType.DL)
+        t += model.slot_ms + model.ue_processing_ms
+        cursor = (phase + t / model.slot_ms) % period
+        if model.sr_based_ul:
+            sr_wait = wait_from_phase(float(cursor), SlotType.UL)
+            t += sr_wait + model.gnb_processing_ms
+            cursor = (cursor + (sr_wait + model.gnb_processing_ms) / model.slot_ms) % period
+            grant_wait = wait_from_phase(float(cursor), SlotType.DL)
+            t += grant_wait + model.ue_processing_ms
+            cursor = (cursor + (grant_wait + model.ue_processing_ms) / model.slot_ms) % period
+        ul_wait = wait_from_phase(float(cursor), SlotType.UL)
+        t += ul_wait + model.slot_ms + model.gnb_processing_ms
+        delays[i] = t
+    if retx_probability > 0.0:
+        retx = rng.random(n) < retx_probability
+        delays = delays + retx * model.harq_penalty_ms()
+    return delays
+
+
+class TestWaitTable:
+    @pytest.mark.parametrize("pattern", _profile_patterns(), ids=lambda p: p.pattern)
+    def test_table_equals_wait_slots(self, pattern):
+        model = UserPlaneLatencyModel(pattern)
+        period = pattern.period_slots
+        for direction in (SlotType.DL, SlotType.UL):
+            table = model._whole_wait_ms[direction]
+            assert len(table) == period
+            for s in range(3 * period):
+                assert table[s % period] == pattern.wait_slots(direction, s) * model.slot_ms
+
+    @pytest.mark.parametrize("pattern", [
+        *_profile_patterns(), LONG,
+        TddPattern.from_string("DSUUD", SpecialSlotConfig(12, 2, 0)),
+        TddPattern.from_string("DDSUU", SpecialSlotConfig(0, 2, 12))],
+        ids=lambda p: f"{p.pattern}-{p.special.dl_symbols}-{p.special.ul_symbols}")
+    @pytest.mark.parametrize("sr_based_ul", [False, True])
+    @pytest.mark.parametrize("mu", [Numerology.MU_0, Numerology.MU_1])
+    def test_sample_bytes_unchanged(self, pattern, sr_based_ul, mu):
+        model = UserPlaneLatencyModel(pattern, mu=mu, sr_based_ul=sr_based_ul,
+                                      ue_processing_ms=0.37, gnb_processing_ms=0.21)
+        for retx_probability in (0.0, 0.3):
+            got = model.sample(700, rng=np.random.default_rng(11),
+                               retx_probability=retx_probability)
+            want = _original_sample(model, 700, np.random.default_rng(11),
+                                    retx_probability=retx_probability)
+            assert got.tobytes() == want.tobytes()
+
+    def test_profile_models_sample_unchanged(self):
+        for profile in ALL_PROFILES.values():
+            if profile.primary_cell.tdd is None:
+                continue
+            model = profile.latency_model()
+            got = model.sample(300, rng=np.random.default_rng(4))
+            want = _original_sample(model, 300, np.random.default_rng(4))
+            assert got.tobytes() == want.tobytes()

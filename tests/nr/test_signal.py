@@ -120,3 +120,67 @@ class TestRsrq:
     def test_inverse_rejects_impossible(self):
         with pytest.raises(ValueError):
             sinr_from_rsrq(-5.0, load=1.0)  # above the full-load ceiling
+
+
+class TestInPlaceChains:
+    """The array paths run their ufunc sequence in one buffer; values,
+    dtypes and return types must equal the out-of-place expressions."""
+
+    @staticmethod
+    def _original(name, x, arg):
+        lin = np.power(10.0, np.asarray(x, dtype=float) / 10.0)
+        if name == "db_to_linear":
+            return lin
+        if name == "shannon_efficiency":
+            return arg * np.log2(1.0 + lin)
+        with np.errstate(divide="ignore"):
+            return 10.0 * np.log10(1.0 / (12.0 * (arg + 1.0 / lin)))
+
+    @staticmethod
+    def _call(name, x, arg):
+        if name == "db_to_linear":
+            return db_to_linear(x)
+        if name == "shannon_efficiency":
+            return shannon_efficiency(x, arg)
+        return rsrq_from_sinr(x, load=arg)
+
+    @staticmethod
+    def _inputs():
+        values = np.random.default_rng(8).uniform(-40.0, 60.0, 5003)
+        values[:8] = [0.0, -0.0, 1e-300, -350.0, 400.0, np.inf, -np.inf, 18.0]
+        return [
+            values,
+            values[:5000].reshape(50, 100),
+            values[::3],                           # non-contiguous
+            values.astype(np.float32),
+            np.arange(-30, 40),                    # integers
+            [3.0, -1.5, 27.0],                     # list
+            np.zeros(0),
+        ]
+
+    @pytest.mark.parametrize("name,arg", [
+        ("db_to_linear", None), ("shannon_efficiency", 0.6),
+        ("shannon_efficiency", 0.65), ("rsrq_from_sinr", 1.0),
+        ("rsrq_from_sinr", 0.3), ("rsrq_from_sinr", 1)])
+    def test_arrays_match_out_of_place(self, name, arg):
+        for x in self._inputs():
+            before = np.array(x, copy=True)
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                got = self._call(name, x, arg)
+                want = self._original(name, x, arg)
+            assert type(got) is type(want)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            # The caller's array is never the buffer.
+            assert np.array_equal(np.asarray(x), before, equal_nan=True)
+
+    @pytest.mark.parametrize("name,arg", [
+        ("db_to_linear", None), ("shannon_efficiency", 0.6), ("rsrq_from_sinr", 0.8)])
+    @pytest.mark.parametrize("x", [18.0, -0.0, 7, np.float64(-3.5), np.array(12.5),
+                                   np.float32(2.0)])
+    def test_scalars_keep_their_path(self, name, arg, x):
+        got = self._call(name, x, arg)
+        want = self._original(name, x, arg)
+        assert type(got) is type(want)
+        assert np.ndim(got) == 0
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

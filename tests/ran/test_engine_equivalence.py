@@ -24,6 +24,7 @@ unguarded libm decision would flip.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import re
 from contextlib import contextmanager
@@ -45,6 +46,7 @@ from repro.ran.scheduler import ProportionalFairScheduler, RoundRobinScheduler
 from repro.ran.simulator import (SimParams, simulate_downlink,
                                  simulate_downlink_multi, simulate_uplink)
 from repro.xcal.io import npz_bytes, trace_to_arrays
+from repro.xcal.records import SlotTrace
 
 DURATION_S = 2.0
 
@@ -430,6 +432,41 @@ def test_no_kernel_auto_runs_vectorized(monkeypatch):
     assert resolve_engine("auto", 1) == "vectorized"
     assert _run_single(simulate_downlink, cell, mean_sinr_db, 5, "auto",
                        **params) == expected
+
+
+def _native_filled_cqi(cqi: np.ndarray) -> np.ndarray:
+    """The session kernel's CQI forward fill, run alone: a session with
+    no periods completes at once and fills its CQI column."""
+    out = np.array(cqi, dtype=np.int64)
+    args = _native.SessionArgs(n_slots=out.size, n_periods=0,
+                               cqi_out=out.ctypes.data)
+    assert _native.load_kernel().session_run(ctypes.byref(args)) == 0
+    return out
+
+
+def _numpy_filled_cqi(cqi: np.ndarray) -> np.ndarray:
+    trace = SlotTrace.empty(len(cqi))
+    trace.cqi[:] = cqi
+    simulator._forward_fill_cqi(trace)
+    return trace.cqi
+
+
+@needs_kernel
+def test_native_cqi_forward_fill_matches_numpy():
+    rng = np.random.default_rng(21)
+    cases = [np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64),
+             np.zeros(37, dtype=np.int64), np.array([0, 0, 0, 9, 0, 0, 4, 0]),
+             np.array([5]), np.array([0, 7]), np.array([3, 0, 0]),
+             np.arange(1, 16)]
+    for density in (0.02, 0.1, 0.5, 0.9, 1.0):
+        for n in (1, 2, 40, 3001):
+            cqi = rng.integers(1, 16, n) * (rng.random(n) < density)
+            cases.append(cqi)
+            leading = cqi.copy()
+            leading[: n // 2] = 0
+            cases.append(leading)
+    for cqi in cases:
+        assert _native_filled_cqi(cqi).tobytes() == _numpy_filled_cqi(cqi).tobytes()
 
 
 def _session_kernel_code() -> tuple[str, str]:
